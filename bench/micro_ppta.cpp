@@ -155,23 +155,22 @@ void BM_DynSum_GeneratedQueries(benchmark::State &State) {
 BENCHMARK(BM_DynSum_GeneratedQueries);
 
 void BM_AndersenSolve(benchmark::State &State) {
-  // range(0) = solver threads; 1 is the serial hybrid-set worklist, >1
-  // the sharded bulk-synchronous solver (bit-identical results).
+  // The serial worklist over hybrid points-to sets.
   GenProg &G = GenProg::get();
   for (auto _ : State) {
-    AndersenAnalysis A(*G.Built.Graph, unsigned(State.range(0)));
+    AndersenAnalysis A(*G.Built.Graph);
     A.solve();
     benchmark::DoNotOptimize(A.propagationCount());
   }
 }
-BENCHMARK(BM_AndersenSolve)->Arg(1)->Arg(2)->Arg(8);
+BENCHMARK(BM_AndersenSolve);
 
 void BM_AndersenSolve_DenseBaseline(benchmark::State &State) {
   // The pre-hybrid representation (one dense BitVector per node):
-  // the single-thread baseline the hybrid set is measured against.
+  // the baseline the hybrid set is measured against.
   GenProg &G = GenProg::get();
   for (auto _ : State) {
-    AndersenAnalysis A(*G.Built.Graph, 1, PtsRep::Dense);
+    AndersenAnalysis A(*G.Built.Graph, PtsRep::Dense);
     A.solve();
     benchmark::DoNotOptimize(A.propagationCount());
   }
@@ -252,8 +251,8 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-program solve scaling: Andersen at a requested program size,
-// across thread counts and set representations.  Opt-in via
+// Whole-program solve: Andersen at a requested program size, hybrid
+// vs dense set representations.  Opt-in via
 // --andersen-methods=N (a 10k-method solve is too slow for the default
 // microbench run); results ride the same trajectory JSON.
 //===----------------------------------------------------------------------===//
@@ -261,7 +260,7 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 struct AndersenSection {
   bool Ran = false;
   uint64_t Methods = 0, Nodes = 0, Edges = 0;
-  double T1Ms = 0, T2Ms = 0, T8Ms = 0, DenseT1Ms = 0;
+  double T1Ms = 0, DenseT1Ms = 0;
 };
 
 AndersenSection runAndersenSection(uint64_t Methods) {
@@ -275,15 +274,14 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   pag::BuiltPAG Built = pag::buildPAG(*Prog);
 
   // Best-of-3 below ~5k methods, where allocator noise dominates the
-  // variance; a 10k-method solve runs minutes, so one rep has to do
-  // (the t8-vs-t1 ratio it feeds is ~2x on real cores — well above
-  // single-rep noise).  Progress goes to stderr as each config lands.
+  // variance; a 10k-method solve runs minutes, so one rep has to do.
+  // Progress goes to stderr as each config lands.
   const int Reps = Methods >= 5000 ? 1 : 3;
-  auto SolveMs = [&](const char *Name, unsigned Threads, PtsRep Rep) {
+  auto SolveMs = [&](const char *Name, PtsRep Rep) {
     double Best = 1e300;
     for (int I = 0; I < Reps; ++I) {
       Timer T;
-      AndersenAnalysis A(*Built.Graph, Threads, Rep);
+      AndersenAnalysis A(*Built.Graph, Rep);
       A.solve();
       benchmark::DoNotOptimize(A.propagationCount());
       Best = std::min(Best, T.seconds() * 1e3);
@@ -291,10 +289,9 @@ AndersenSection runAndersenSection(uint64_t Methods) {
     std::fprintf(stderr, "andersen %s: %.2f ms (best of %d)\n", Name, Best,
                  Reps);
 #if defined(__GLIBC__)
-    // A 10k-method solve allocates gigabytes of short-lived delta and
-    // staging storage across per-thread arenas; return it to the OS
-    // between configs so four back-to-back solves don't stack their
-    // high-water marks into an OOM on CI-sized runners.
+    // Return each config's freed points-to sets to the OS before the
+    // next one allocates, so back-to-back solves don't stack their
+    // high-water marks on CI-sized runners.
     malloc_trim(0);
 #endif
     return Best;
@@ -304,15 +301,13 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   R.Methods = Prog->methods().size();
   R.Nodes = Built.Graph->numNodes();
   R.Edges = Built.Graph->numEdges();
-  R.T1Ms = SolveMs("hybrid t1", 1, PtsRep::Hybrid);
-  R.T2Ms = SolveMs("hybrid t2", 2, PtsRep::Hybrid);
-  R.T8Ms = SolveMs("hybrid t8", 8, PtsRep::Hybrid);
+  R.T1Ms = SolveMs("hybrid t1", PtsRep::Hybrid);
   // The dense baseline keeps a universe-sized bitmap per node — ~30 GB
   // at 10k methods, which the hybrid representation exists to avoid —
   // so the A/B only runs at scales where dense fits CI-sized memory
   // (the CI hybrid-vs-dense gate uses a second, smaller invocation).
   if (Methods <= 5000)
-    R.DenseT1Ms = SolveMs("dense t1", 1, PtsRep::Dense);
+    R.DenseT1Ms = SolveMs("dense t1", PtsRep::Dense);
   else
     std::fprintf(stderr, "andersen dense t1: skipped (universe bitmaps "
                          "need ~30 GB at this scale)\n");
@@ -322,8 +317,6 @@ AndersenSection runAndersenSection(uint64_t Methods) {
               (unsigned long long)R.Methods, (unsigned long long)R.Nodes,
               (unsigned long long)R.Edges);
   std::printf("hybrid t1: %9.2f ms\n", R.T1Ms);
-  std::printf("hybrid t2: %9.2f ms  (%.2fx)\n", R.T2Ms, R.T1Ms / R.T2Ms);
-  std::printf("hybrid t8: %9.2f ms  (%.2fx)\n", R.T8Ms, R.T1Ms / R.T8Ms);
   if (R.DenseT1Ms > 0)
     std::printf("dense  t1: %9.2f ms  (hybrid %.2fx vs dense)\n", R.DenseT1Ms,
                 R.DenseT1Ms / R.T1Ms);
@@ -383,9 +376,6 @@ void runThroughputSection(const std::string &JsonPath,
     J.set("andersen.pag_nodes", Andersen.Nodes);
     J.set("andersen.pag_edges", Andersen.Edges);
     J.set("andersen.t1_ms", Andersen.T1Ms);
-    J.set("andersen.t2_ms", Andersen.T2Ms);
-    J.set("andersen.t8_ms", Andersen.T8Ms);
-    J.set("andersen.speedup_8v1", Andersen.T1Ms / Andersen.T8Ms);
     if (Andersen.DenseT1Ms > 0) {
       J.set("andersen.dense_t1_ms", Andersen.DenseT1Ms);
       J.set("andersen.hybrid_speedup_vs_dense",
@@ -403,7 +393,7 @@ void runThroughputSection(const std::string &JsonPath,
 /// Custom main: --json=<file> and --andersen-methods=<N> are peeled
 /// off before google-benchmark sees argv (it rejects flags it does not
 /// know), then the registered microbenchmarks run, then the Andersen
-/// scaling and throughput sections.
+/// and throughput sections.
 int main(int argc, char **argv) {
   std::string JsonPath;
   uint64_t AndersenMethods = 0;

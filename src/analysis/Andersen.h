@@ -3,17 +3,11 @@
 /// \file
 /// Exhaustive Andersen-style (inclusion-based) points-to analysis.
 ///
-/// Context-insensitive and field-sensitive.  Three roles in this repo:
+/// Context-insensitive and field-sensitive.  Two roles in this repo:
 ///  * ground-truth over-approximation oracle in the test suite (every
 ///    demand-driven context-sensitive answer must be a subset);
 ///  * call-graph construction, standing in for Spark's on-the-fly
-///    Andersen analysis (see AndersenTargetResolver);
-///  * the conservative fallback answer for budget-exceeded queries.
-///
-/// The solver runs serial or sharded-parallel (see Threads below); the
-/// parallel solve reaches the same least fixpoint, so points-to sets
-/// are bit-identical at every thread count (fuzz-oracle-enforced in
-/// tests/andersen_parallel_test.cpp).
+///    Andersen analysis (see AndersenTargetResolver).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,18 +29,13 @@ namespace analysis {
 
 /// Which container backs the solver's points-to sets.  Hybrid is the
 /// default everywhere; Dense keeps the seed BitVector representation
-/// alive as an in-run A/B baseline for benches and equivalence tests
-/// (Dense always solves serially).
+/// alive as an in-run A/B baseline for benches and equivalence tests.
 enum class PtsRep { Hybrid, Dense };
 
 /// Whole-program inclusion-based solver over a finalized PAG.
 class AndersenAnalysis {
 public:
-  /// \p Threads > 1 selects the sharded bulk-synchronous solver
-  /// (0 = one worker per hardware thread).  Results are identical at
-  /// every thread count.
-  explicit AndersenAnalysis(const pag::PAG &G, unsigned Threads = 1,
-                            PtsRep Rep = PtsRep::Hybrid);
+  explicit AndersenAnalysis(const pag::PAG &G, PtsRep Rep = PtsRep::Hybrid);
 
   /// Runs to fixpoint.  Idempotent.
   void solve();
@@ -66,7 +55,6 @@ public:
 
 private:
   template <class SetVec> void solveSerial(SetVec &P);
-  void solveParallel();
 
   /// Adds a dynamic copy edge Src -> Dst; returns true when new.
   /// Membership is a hashed edge set, not a linear fan-out scan.
@@ -74,7 +62,6 @@ private:
 
   const pag::PAG &Graph;
   size_t NumAllocs;
-  unsigned NumThreads;
   PtsRep Rep;
   bool Solved = false;
   uint64_t Propagations = 0;
@@ -111,10 +98,8 @@ private:
 /// Builds a PAG whose call graph was refined by Andersen analysis:
 /// CHA-based PAG first, then up to \p Rounds rebuilds with
 /// points-to-directed dispatch until the call graph stabilizes.
-/// \p Threads parallelizes each whole-program solve.
 pag::BuiltPAG buildPAGWithAndersenCallGraph(const ir::Program &P,
-                                            unsigned Rounds = 2,
-                                            unsigned Threads = 1);
+                                            unsigned Rounds = 2);
 
 } // namespace analysis
 } // namespace dynsum

@@ -243,7 +243,6 @@ struct Entry {
 };
 
 /// Parses one entry body (key triple, objects, tuples) from \p R.
-/// Shared by the v2 stream parse and the v3 per-record parse.
 bool parseEntry(Reader &R, const pag::PAG &G, StackPool &Stacks,
                 size_t NumAllocs, Entry &E) {
   if (!readTriple(R, G, Stacks, E.Node, E.Fields, E.S))
@@ -283,43 +282,6 @@ std::string describeRecord(const ir::Program &P, std::string_view Payload) {
   if (Canonical - NumVars < P.allocs().size())
     return "method " + P.describeMethod(P.alloc(Canonical - NumVars).Owner);
   return "unattributable (key node out of range)";
-}
-
-/// The strict all-or-nothing v2 body parse (post-version field).
-void deserializeV2(DynSumAnalysis &A, Reader &R, SummaryLoadReport &Report) {
-  uint64_t Fingerprint = 0, NumEntries = 0;
-  if (!R.read64(Fingerprint) ||
-      Fingerprint != programFingerprint(A.graph().program())) {
-    Report.Error = "program fingerprint mismatch";
-    return;
-  }
-  if (!R.read64(NumEntries)) {
-    Report.Error = "truncated v2 header";
-    return;
-  }
-  const pag::PAG &G = A.graph();
-  size_t NumAllocs = G.program().allocs().size();
-  StackPool &Stacks = A.fieldStacks();
-  std::vector<Entry> Staged;
-  Staged.reserve(size_t(NumEntries));
-  for (uint64_t I = 0; I < NumEntries; ++I) {
-    Entry E;
-    if (!parseEntry(R, G, Stacks, NumAllocs, E)) {
-      Report.Error =
-          "truncated or corrupt v2 entry " + std::to_string(I) +
-          " (v2 has no per-record framing; nothing was loaded)";
-      return;
-    }
-    Staged.push_back(std::move(E));
-  }
-  if (!R.atEnd()) {
-    Report.Error = "trailing bytes after the last v2 entry";
-    return;
-  }
-  for (Entry &E : Staged)
-    A.insertSummary(E.Node, E.Fields, E.S, std::move(E.Summary));
-  Report.Ok = true;
-  Report.EntriesLoaded = Staged.size();
 }
 
 /// The corruption-tolerant v3 body parse: checksummed header, then
@@ -465,13 +427,11 @@ dynsum::analysis::deserializeSummariesReport(DynSumAnalysis &A,
     Report.Error = "truncated before the version field";
     return Report;
   }
-  if (Version == 2)
-    deserializeV2(A, R, Report);
-  else if (Version == 3)
+  if (Version == 3)
     deserializeV3(A, R, Data, Report);
   else
     Report.Error = "unsupported DSUM version " + std::to_string(Version) +
-                   " (this build reads v2 and v3)";
+                   " (this build reads v3)";
   return Report;
 }
 

@@ -9,8 +9,8 @@
 /// every PPTA recomputation for previously queried code.
 ///
 /// Summaries are keyed by PAG nodes and field-stack ids.  On disk
-/// (format v2) node references are CANONICAL: a variable node is its
-/// VarId, an object node is numVars + AllocId.  In-memory numbering
+/// (since format v2) node references are CANONICAL: a variable node is
+/// its VarId, an object node is numVars + AllocId.  In-memory numbering
 /// depends on build history — a graph evolved through delta builds
 /// interleaves late-created variables after object nodes — so raw node
 /// ids would silently mean different nodes in the saving and loading
@@ -65,8 +65,8 @@ constexpr uint32_t kSummaryFileMagic = 0x4d555344;
 /// instead of raw in-memory node ids, which stopped being a pure
 /// function of the program when delta builds arrived.
 /// v3: header checksum plus per-entry length/checksum framing so loads
-/// degrade per record instead of all-or-nothing.  v2 files still load
-/// (with v2's strict all-or-nothing semantics).
+/// degrade per record instead of all-or-nothing.  Only v3 loads; other
+/// versions are refused as unsupported.
 constexpr uint32_t kSummaryFileVersion = 3;
 /// Tag of the optional digest-index section appended after the last v3
 /// record ("DIDX" little-endian).  The index is NOT a format bump: the
@@ -111,9 +111,8 @@ std::string serializeSummaries(const DynSumAnalysis &A);
 
 /// Loads summaries serialized by serializeSummaries into \p A, merging
 /// over its current cache, and reports exactly what happened.  Header
-/// damage merges nothing (Ok false, Error set); v3 record damage is
-/// skipped per record (Ok true, counters set).  v2 buffers keep their
-/// historical all-or-nothing contract.
+/// damage merges nothing (Ok false, Error set); record damage is
+/// skipped per record (Ok true, counters set).
 SummaryLoadReport deserializeSummariesReport(DynSumAnalysis &A,
                                              std::string_view Data);
 

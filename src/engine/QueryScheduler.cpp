@@ -11,8 +11,6 @@
 #include "support/Parallel.h"
 #include "support/Timer.h"
 
-#include <thread>
-
 using namespace dynsum;
 using namespace dynsum::analysis;
 using namespace dynsum::engine;
@@ -105,22 +103,13 @@ BatchResult QueryScheduler::run(const QueryBatch &B,
     return Result;
   }
 
+  // One job per shard.  A shard that throws is captured, every worker
+  // is joined, and the first exception is rethrown here to the caller.
   std::vector<BatchStats> ShardStats(Threads);
-  if (Threads == 1) {
-    runShard(B, 0, 1, AnalysisOpts, Exchange, Result.Outcomes,
-             ShardStats[0]);
-  } else {
-    std::vector<std::thread> Workers;
-    Workers.reserve(Threads);
-    for (unsigned W = 0; W < Threads; ++W)
-      Workers.emplace_back([this, &B, W, Threads, &AnalysisOpts, Exchange,
-                            &Result, &ShardStats] {
-        runShard(B, W, Threads, AnalysisOpts, Exchange, Result.Outcomes,
-                 ShardStats[W]);
-      });
-    for (std::thread &W : Workers)
-      W.join();
-  }
+  parallelJobs(Threads, Threads, [&](size_t W) {
+    runShard(B, W, Threads, AnalysisOpts, Exchange, Result.Outcomes,
+             ShardStats[W]);
+  });
 
   for (const BatchStats &S : ShardStats) {
     Result.Stats.TotalSteps += S.TotalSteps;

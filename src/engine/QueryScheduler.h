@@ -35,7 +35,7 @@
 #define DYNSUM_ENGINE_QUERYSCHEDULER_H
 
 #include "engine/QueryBatch.h"
-#include "engine/SummaryStore.h"
+#include "engine/TieredStore.h"
 
 #include <string>
 #include <string_view>

@@ -7,7 +7,7 @@
 
 #include "incremental/EditSession.h"
 
-#include "engine/SummaryStore.h"
+#include "engine/TieredStore.h"
 
 #include <algorithm>
 #include <cassert>
@@ -52,16 +52,16 @@ CommitStats EditSession::commit() {
   Stats.Outcome = CommitOutcome::Committed;
   Stats.SummariesBefore = DynSum.cacheSize();
 
-  // Snapshot the boundary flags, then patch the graph in place: only
-  // the edited methods' segments are re-lowered and node ids never
-  // move, so analyses holding references stay valid and summary keys
-  // stay meaningful.  The snapshot is usually carried forward from the
-  // previous commit (Boundary); without one it must be taken now —
-  // the delta build mutates this graph in place, so the pre-edit
-  // flags are about to disappear.
-  BoundarySnapshot OldBoundary;
-  if (!BoundaryValid)
-    OldBoundary = snapshotBoundary(Graph);
+  // Patch the graph in place: only the edited methods' segments are
+  // re-lowered and node ids never move, so analyses holding references
+  // stay valid and summary keys stay meaningful.  The pre-edit boundary
+  // flags are usually carried forward from the previous commit;
+  // without them they must be swept now, before the delta build
+  // mutates them away.
+  const bool Carried = BoundaryValid;
+  BoundaryValid = false;
+  if (!Carried && Policy == InvalidationPolicy::PerMethod)
+    Boundary = snapshotBoundary(Graph);
   pag::DeltaStats Delta = pag::buildPAGDelta(Graph, Calls);
   Stats.MethodsRelowered = Delta.Relowered.size();
   Stats.ShapeSeconds = Delta.ShapeSeconds;
@@ -70,9 +70,7 @@ CommitStats EditSession::commit() {
   Stats.RepackSeconds = Delta.RepackSeconds;
 
   if (Policy == InvalidationPolicy::ClearAll) {
-    // The rebuild moved flags the carried snapshot doesn't reflect,
-    // and no diff runs under this policy to repair it.
-    BoundaryValid = false;
+    // No diff runs under this policy, so nothing carries forward.
     DynSum.clearCache();
     DynSum.clearTrivialMemo();
     Stats.SummariesDropped = Stats.SummariesBefore;
@@ -85,24 +83,8 @@ CommitStats EditSession::commit() {
     return Stats;
   }
 
-  // Invalidation plan: every touched method (a forced markDirty must
-  // drop summaries even when the graph proved unchanged) plus the
-  // boundary-flag diff.
-  std::unordered_set<ir::MethodId> Dirty(Delta.Touched.begin(),
-                                         Delta.Touched.end());
-  InvalidationPlan Plan;
-  if (BoundaryValid && !Graph.lastRepackCompacted()) {
-    // O(delta): patch the carried snapshot along the repack's own
-    // dirty-node list.
-    Plan = patchInvalidation(Boundary, Graph,
-                             Graph.lastRepackAffectedNodes(), Dirty);
-  } else {
-    if (BoundaryValid)
-      OldBoundary = std::move(Boundary);
-    BoundarySnapshot NewBoundary;
-    Plan = planInvalidation(OldBoundary, Graph, Dirty, {}, &NewBoundary);
-    Boundary = std::move(NewBoundary);
-  }
+  InvalidationPlan Plan =
+      planCommitInvalidation(Boundary, Carried, Graph, Delta.Touched);
   BoundaryValid = true;
 
   for (ir::MethodId M : Plan.Methods)

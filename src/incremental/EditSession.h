@@ -21,7 +21,7 @@
 /// records a boundary tuple there.  commit() therefore invalidates the
 /// directly edited methods plus every method whose node flags changed,
 /// which it finds by diffing flags across the rebuild (the shared
-/// incremental::planInvalidation).  Stable node ids make every other
+/// incremental::planCommitInvalidation).  Stable node ids make every other
 /// summary valid verbatim — there is no remapping step.
 ///
 /// A session may additionally be wired to a cross-thread

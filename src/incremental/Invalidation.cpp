@@ -141,3 +141,22 @@ InvalidationPlan dynsum::incremental::patchInvalidation(
     Plan.Methods.insert(ir::kNone); // global/null-object-keyed summaries
   return Plan;
 }
+
+InvalidationPlan dynsum::incremental::planCommitInvalidation(
+    BoundarySnapshot &Boundary, bool Carried, const pag::PAG &NewGraph,
+    const std::vector<ir::MethodId> &Touched,
+    const support::ExecContext &Exec) {
+  // Every touched method is dirty: a forced markDirty must drop
+  // summaries even when the graph proved unchanged.
+  std::unordered_set<ir::MethodId> Dirty(Touched.begin(), Touched.end());
+  // Fast path: the carried snapshot plus the repack's own dirty-node
+  // list give an O(delta) plan.  A compaction rederived every flag.
+  if (Carried && !NewGraph.lastRepackCompacted())
+    return patchInvalidation(Boundary, NewGraph,
+                             NewGraph.lastRepackAffectedNodes(), Dirty);
+  BoundarySnapshot New;
+  InvalidationPlan Plan =
+      planInvalidation(Boundary, NewGraph, Dirty, Exec, &New);
+  Boundary = std::move(New);
+  return Plan;
+}

@@ -21,7 +21,8 @@
 /// The same plan is applied to every cache that outlives a commit: the
 /// private DynSumAnalysis cache of an EditSession, and the cross-thread
 /// SharedSummaryStore behind an AnalysisService (consumed through
-/// SharedSummaryStore::beginGeneration).
+/// SharedSummaryStore::beginGeneration).  Both committers plan through
+/// planCommitInvalidation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,6 +95,20 @@ InvalidationPlan
 patchInvalidation(BoundarySnapshot &Carried, const pag::PAG &NewGraph,
                   const std::vector<pag::NodeId> &ChangedNodes,
                   const std::unordered_set<ir::MethodId> &Dirty);
+
+/// The invalidation step of one commit, shared by every committer.  On
+/// entry \p Boundary holds the pre-edit flags: carried forward from the
+/// previous commit when \p Carried, otherwise freshly swept by the
+/// caller.  A carried snapshot is patched along \p NewGraph's repack
+/// dirty-node list unless the repack compacted; every other case runs
+/// the full diff.  On exit \p Boundary holds \p NewGraph's flags, ready
+/// to carry into the next commit.  \p Touched lists the directly edited
+/// methods (pag::DeltaStats::Touched).
+InvalidationPlan
+planCommitInvalidation(BoundarySnapshot &Boundary, bool Carried,
+                       const pag::PAG &NewGraph,
+                       const std::vector<ir::MethodId> &Touched,
+                       const support::ExecContext &Exec = {});
 
 } // namespace incremental
 } // namespace dynsum

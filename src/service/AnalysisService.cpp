@@ -210,22 +210,12 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   }
 
   // The pre-edit boundary flags are usually carried forward from the
-  // previous commit (CachedBoundary); whether they can be patched in
-  // O(delta) or must be re-diffed in full is decided after the delta
-  // build below.  The old generation's graph is immutable, so a full
-  // sweep — needed only on the first commit and after rollback or a
-  // ClearAll commit — can equally run after the build.
+  // previous commit (CachedBoundary).  The old generation's graph is
+  // immutable, so a full sweep — needed only on the first commit and
+  // after rollback or a ClearAll commit — can run after the build.
   std::shared_ptr<const Generation> Old = current();
   const bool CarriedValid = CachedBoundaryGen == Old->Number;
   CachedBoundaryGen = kNoBoundaryGen;
-
-  // Pre-summarization scope: ClearAll drops every summary, so only a
-  // full warm makes sense regardless of the configured scope.  The
-  // invalidated-method set is captured from the plan below.
-  const bool WarmAll =
-      Opts.Presummarize && (Opts.Policy == InvalidationPolicy::ClearAll ||
-                            Opts.WarmScope == PresummarizeScope::All);
-  std::unordered_set<ir::MethodId> WarmMethods;
 
   // Everything below, up to the publish, is failure-isolated: the new
   // generation is built on a private copy-on-write snapshot, so a
@@ -262,32 +252,13 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
       Stats.SummariesDropped = Store.size();
       Store.clear(); // bumps the store generation
     } else {
-      std::unordered_set<ir::MethodId> Dirty(Delta.Touched.begin(),
-                                             Delta.Touched.end());
-      // Fast path: the carried snapshot plus the repack's own
-      // dirty-node list give an O(delta) plan.  A compaction (or an
-      // invalidated carry) rederived every flag, so fall back to the
-      // full position-for-position diff and recapture the snapshot
-      // from it.
-      InvalidationPlan Plan;
-      if (CarriedValid && !NewBuilt->Graph->lastRepackCompacted()) {
-        Plan = incremental::patchInvalidation(
-            CachedBoundary, *NewBuilt->Graph,
-            NewBuilt->Graph->lastRepackAffectedNodes(), Dirty);
-      } else {
-        incremental::BoundarySnapshot OldBoundary =
-            CarriedValid
-                ? std::move(CachedBoundary)
-                : incremental::snapshotBoundary(*Old->Built->Graph, Exec);
-        incremental::BoundarySnapshot NewBoundary;
-        Plan = incremental::planInvalidation(OldBoundary, *NewBuilt->Graph,
-                                             Dirty, Exec, &NewBoundary);
-        CachedBoundary = std::move(NewBoundary);
-      }
+      if (!CarriedValid)
+        CachedBoundary =
+            incremental::snapshotBoundary(*Old->Built->Graph, Exec);
+      InvalidationPlan Plan = incremental::planCommitInvalidation(
+          CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Exec);
       Stats.MethodsInvalidated = Plan.Methods.size();
       Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
-      if (Opts.Presummarize && !WarmAll)
-        WarmMethods = Plan.Methods;
     }
     Stats.SharedSummariesDropped = Stats.SummariesDropped;
 
@@ -329,7 +300,7 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   LastCommitRelowered.store(Stats.MethodsRelowered,
                             std::memory_order_relaxed);
   if (Opts.Presummarize)
-    scheduleWarm(WarmAll, WarmMethods);
+    scheduleWarm();
   return Stats;
 }
 
@@ -478,45 +449,30 @@ void AnalysisService::waitForCommits() {
 // Post-commit pre-summarization
 //===----------------------------------------------------------------------===//
 //
-// A successful commit queues one warm job: the variables whose
-// summaries the commit just dropped (plus the recently-queried hot
-// set, scope permitting), against the generation it published.  A
-// single warmer thread runs jobs newest-wins — a commit racing ahead
-// of a queued pass simply replaces it, and a pass racing a commit is
-// harmless because it publishes through an epoch pinned to its own
-// generation: the store's gate drops stale entries.  The pass fans out
-// over the commit ExecContext; WorkerPool::run is internally
-// serialized, so sharing the committer's pool costs ordering, never
-// correctness.
+// A successful commit queues one warm job: the recently-queried hot
+// set, against the generation it published.  Re-querying it recomputes
+// exactly the dropped summaries on paths clients actually demand (hot
+// variables whose summaries survived cost one store hit each — noise),
+// under every invalidation policy.  A single warmer thread runs jobs
+// newest-wins — a commit racing ahead of a queued pass simply replaces
+// it, and a pass racing a commit is harmless because it publishes
+// through an epoch pinned to its own generation: the store's gate
+// drops stale entries.  The pass fans out over the commit ExecContext;
+// WorkerPool::run is internally serialized, so sharing the committer's
+// pool costs ordering, never correctness.
 
-void AnalysisService::scheduleWarm(
-    bool All, const std::unordered_set<ir::MethodId> &Methods) {
+void AnalysisService::scheduleWarm() {
   std::shared_ptr<const Generation> Gen = current();
-  const bool UseHot = !All && (Opts.WarmScope == PresummarizeScope::Hot ||
-                               Opts.WarmScope ==
-                                   PresummarizeScope::HotAndInvalidated);
-  const bool UseInvalidated =
-      !All && Opts.WarmScope != PresummarizeScope::Hot;
-  std::unordered_set<ir::VarId> Hot;
-  if (UseHot) {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    Hot = HotSet;
-  }
-  // Warm set per scope: recently-queried variables re-demand exactly
-  // the dropped summaries on paths clients actually use (hot variables
-  // whose summaries survived cost one store hit each — noise); the
-  // invalidated-method scopes add every variable the edited methods
-  // own, a speculative bet that new code is queried next.
   std::vector<ir::VarId> Vars;
-  const std::vector<ir::Variable> &AllVars = Prog->variables();
-  size_t Known = std::min(AllVars.size(), Gen->NumVars);
-  for (size_t I = 0; I < Known; ++I) {
-    if (All || (UseInvalidated && Methods.count(AllVars[I].Owner)) ||
-        (UseHot && Hot.count(ir::VarId(I))))
-      Vars.push_back(ir::VarId(I));
+  {
+    std::lock_guard<std::mutex> Lock(HotMutex);
+    for (ir::VarId V : HotSet)
+      if (V < Gen->NumVars)
+        Vars.push_back(V);
   }
   if (Vars.empty())
     return;
+  std::sort(Vars.begin(), Vars.end()); // deterministic pass order
 
   std::lock_guard<std::mutex> Lock(WarmMutex);
   if (WarmStop)
@@ -700,6 +656,12 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
   if (!admitBatch())
     return shedBatch(Vars.size());
   ActiveBatches.fetch_add(1, std::memory_order_relaxed);
+  // Leave the in-flight count on every exit, a throwing engine run
+  // included, so admission control never sticks closed.
+  struct LeaveGuard {
+    std::atomic<unsigned> &N;
+    ~LeaveGuard() { N.fetch_sub(1, std::memory_order_relaxed); }
+  } Leave{ActiveBatches};
 
   // Variables are append-only with dense ids, so id < NumVars decides
   // whether the pinned generation knows the variable.  Unknown ones
@@ -716,11 +678,8 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
   }
 
   // Feed the warmer's hot set (capped; no eviction — a saturated set
-  // is already far more than one warm pass will chew through).  Only
-  // the hot-including scopes ever read it.
-  if (Opts.Presummarize &&
-      (Opts.WarmScope == PresummarizeScope::Hot ||
-       Opts.WarmScope == PresummarizeScope::HotAndInvalidated)) {
+  // is already far more than one warm pass will chew through).
+  if (Opts.Presummarize) {
     std::lock_guard<std::mutex> Lock(HotMutex);
     for (ir::VarId V : Vars) {
       if (HotSet.size() >= kHotSetCap)
@@ -731,7 +690,6 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
 
   engine::BatchResult R =
       DL ? Gen->Engine->run(Batch, *DL) : Gen->Engine->run(Batch);
-  ActiveBatches.fetch_sub(1, std::memory_order_relaxed);
 
   ServiceBatchResult Out;
   Out.Generation = Gen->Number;

@@ -29,7 +29,7 @@
 ///     immutably, with every retained generation.  The patched graph is
 ///     produced by pag::buildPAGDelta (only the edited methods'
 ///     segments re-lower, node ids never move), the shared
-///     incremental::planInvalidation drops exactly the summaries the
+///     incremental::planCommitInvalidation drops exactly the summaries the
 ///     edit can invalidate from the service-owned SharedSummaryStore,
 ///     the store generation bumps and the current-generation pointer
 ///     swaps.  In-flight batches keep their old generation alive
@@ -54,10 +54,9 @@
 ///     dropped.
 ///
 ///   * Optionally (ServiceOptions::Presummarize), every published
-///     commit hands a background warmer the set of variables the commit
-///     invalidated (plus the recently-queried hot set), and the warmer
-///     bulk-computes their PPTA summaries in parallel — on the
-///     committer's ExecContext, pinned to the published store
+///     commit hands a background warmer the recently-queried hot set,
+///     and the warmer bulk-computes its PPTA summaries in parallel —
+///     on the committer's ExecContext, pinned to the published store
 ///     generation — and publishes them into the TieredSummaryStore.
 ///     The first query batch after a commit then hits warm summaries
 ///     instead of computing them one query-miss at a time.  A newer
@@ -134,27 +133,6 @@ struct OverloadPolicy {
   unsigned MaxCommitBacklog = 0;
 };
 
-/// Which variables the post-commit warmer pre-summarizes (only read
-/// when ServiceOptions::Presummarize is on).
-enum class PresummarizeScope : uint8_t {
-  /// Every variable a recent query batch asked about.  The default:
-  /// re-querying the hot set recomputes exactly the dropped summaries
-  /// on paths clients actually demand, and nothing else — no
-  /// speculative closure of never-queried variables bloating the hot
-  /// tier (measured at 10k methods, speculation grew the store ~1.8x
-  /// and made every fetch of the next batch ~9% slower).
-  Hot,
-  /// The hot set plus every variable owned by an invalidated method —
-  /// speculative: freshly-edited code is likely to be queried next,
-  /// but most of those closures are keys no client ever demanded.
-  HotAndInvalidated,
-  /// Only variables owned by invalidated methods.
-  Invalidated,
-  /// Every variable (a full store fill; expensive, mostly for benches
-  /// and cold-start experiments).
-  All,
-};
-
 /// Service tunables: the engine configuration every generation's
 /// scheduler runs with, the commit invalidation policy, the commit
 /// pipeline's execution context, and the generation-history depth.
@@ -208,16 +186,15 @@ struct ServiceOptions {
   /// concurrent fetch/publish traffic across independent locks.
   unsigned StoreStripes = 0;
   /// Pre-summarize after commits: every published commit enqueues a
-  /// background warm pass that bulk-computes PPTA summaries for the
-  /// WarmScope variable set and publishes them into the store at the
-  /// new generation, so the first post-commit batch hits warm.  The
-  /// pass runs on the Commit ExecContext (WorkerPool::run is
-  /// serialized, so warm phases and commit phases interleave safely on
-  /// the same pool) and is superseded — not queued behind — by the next
-  /// commit.  waitForWarm() is the completion fence.
+  /// background warm pass that bulk-computes PPTA summaries for every
+  /// variable a recent query batch asked about and publishes them into
+  /// the store at the new generation, so the first post-commit batch
+  /// hits warm.  The pass runs on the Commit ExecContext
+  /// (WorkerPool::run is serialized, so warm phases and commit phases
+  /// interleave safely on the same pool) and is superseded — not queued
+  /// behind — by the next commit.  waitForWarm() is the completion
+  /// fence.
   bool Presummarize = false;
-  /// What the warm pass covers (see PresummarizeScope).
-  PresummarizeScope WarmScope = PresummarizeScope::Hot;
 };
 
 /// Outcomes of one service batch plus the generation they were answered
@@ -581,12 +558,9 @@ private:
     std::vector<ir::VarId> Vars;
   };
 
-  /// Builds the warm set for the just-published generation and queues
-  /// it (caller holds the edit lock).  \p All warms every variable;
-  /// otherwise only variables owned by \p Methods (plus the hot set,
-  /// scope permitting).
-  void scheduleWarm(bool All,
-                    const std::unordered_set<ir::MethodId> &Methods);
+  /// Queues the hot set, restricted to variables the just-published
+  /// generation knows, as its warm job (caller holds the edit lock).
+  void scheduleWarm();
 
   /// Body of the background warmer thread (started lazily by the first
   /// scheduled job).
@@ -661,9 +635,9 @@ private:
   bool WarmInFlight = false;
   bool WarmStop = false;
 
-  /// Recently queried variables (guarded by HotMutex) — the hot set
-  /// behind PresummarizeScope::Hot/HotAndInvalidated.  Capped; recording
-  /// stops at the cap rather than evicting (plenty for a warm pass).
+  /// Recently queried variables (guarded by HotMutex) — what the warmer
+  /// re-summarizes.  Capped; recording stops at the cap rather than
+  /// evicting (plenty for a warm pass).
   mutable std::mutex HotMutex;
   std::unordered_set<ir::VarId> HotSet;
   static constexpr size_t kHotSetCap = 65536;

@@ -175,6 +175,11 @@ TEST_P(GeneratedProgramTest, WarmCacheNeverCostsMoreSteps) {
 TEST_P(GeneratedProgramTest, StaSumDominatesDynSumCache) {
   StaSumOptions SO;
   SO.MaxSummaries = 500000;
+  // The largest closure that finishes here takes ~754k steps (bloat).
+  // javac and luindex run out of steps even at the 200M default, after
+  // ~2 minutes each; 5M keeps every case's Capped flag and stops them
+  // in under 2 s.
+  SO.StepBudget = 5'000'000;
   StaSumResult Static = computeStaSum(*Built.Graph, SO);
   DynSumAnalysis Dyn(*Built.Graph, Opts);
   for (pag::NodeId N : sampleNodes(59))

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Production-hardening tests: deadlines and cancellation on the query
-/// path, overload shedding, and failure isolation on the commit
-/// pipeline (validation gate, worker exceptions, retry, quarantine).
+/// path, overload shedding, throwing queries, and failure isolation on
+/// the commit pipeline (validation gate, worker exceptions, retry,
+/// quarantine).
 ///
 /// Fault points are driven through support::FaultInjection — seeded,
 /// deterministic, and process-global, so every test clears the
@@ -213,6 +214,46 @@ TEST_F(RobustnessTest, ShedQueriesReturnOverloadedAndNeverGarbage) {
         << "probe " << I;
   }
   EXPECT_FALSE(S.stats().Shedding);
+}
+
+/// A query that throws reaches the caller as an exception at every
+/// engine thread count: a worker's throw must not abort the process,
+/// and the failed batch must leave admission control open — with a
+/// one-batch watermark, the next batch is admitted and answered
+/// exactly like a never-faulted twin's.
+TEST_F(RobustnessTest, ThrowingQueryReachesCallerAndAdmissionRecovers) {
+  for (unsigned Threads : {1u, 2u}) {
+    SCOPED_TRACE("engine threads " + std::to_string(Threads));
+    auto Prog = fuzzProgram(37);
+    auto TwinProg = fuzzProgram(37);
+    ASSERT_TRUE(Prog && TwinProg);
+    std::vector<ir::VarId> Probe = sampleVars(*Prog, 6);
+    ASSERT_GT(Probe.size(), 1u);
+
+    ServiceOptions SO;
+    SO.Engine.NumThreads = Threads;
+    SO.Overload.MaxActiveBatches = 1;
+    AnalysisService S(std::move(Prog), SO);
+
+    arm("query.summary", FaultKind::Throw, 1, /*MaxFires=*/1);
+    EXPECT_THROW(S.queryVars(Probe), support::FaultInjectedError);
+    EXPECT_EQ(support::faultFires("query.summary"), 1u);
+    support::clearFaults();
+
+    ServiceBatchResult After = S.queryVars(Probe);
+    AnalysisService Twin(std::move(TwinProg), ServiceOptions());
+    ServiceBatchResult Ref = Twin.queryVars(Probe);
+    ASSERT_EQ(After.Outcomes.size(), Probe.size());
+    for (size_t I = 0; I < Probe.size(); ++I) {
+      EXPECT_EQ(After.Outcomes[I].Status, QueryStatus::Ok) << "probe " << I;
+      if (After.Outcomes[I].BudgetExceeded || Ref.Outcomes[I].BudgetExceeded)
+        continue;
+      EXPECT_EQ(After.Outcomes[I].AllocSites, Ref.Outcomes[I].AllocSites)
+          << "probe " << I;
+    }
+    EXPECT_EQ(S.stats().ShedBatches, 0u);
+    EXPECT_FALSE(S.stats().Shedding);
+  }
 }
 
 /// Background commits over the backlog watermark are shed with an

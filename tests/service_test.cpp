@@ -836,8 +836,8 @@ TEST(AnalysisServiceTest, EditAfterWarmAttachInvalidatesDiskRecords) {
 //===----------------------------------------------------------------------===//
 
 /// The warmer's whole contract in one scenario: after an edit + commit,
-/// the background pass recomputes the summaries for invalidated and
-/// recently-queried (hot) variables, so re-running the probe batch
+/// the background pass recomputes the summaries for recently-queried
+/// (hot) variables, so re-running the probe batch
 /// computes nothing — and, critically, the pre-summarized answers are
 /// byte-equal to cold ground truth on the edited program.
 TEST(AnalysisServiceTest, PresummarizedAnswersEqualColdAcrossCommit) {
@@ -872,16 +872,17 @@ TEST(AnalysisServiceTest, PresummarizedAnswersEqualColdAcrossCommit) {
     EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
 }
 
-/// Under ClearAll every summary is dropped, so scope degenerates to a
-/// whole-program warm: even never-queried variables answer from the
-/// store afterwards.
-TEST(AnalysisServiceTest, PresummarizeClearAllWarmsWholeProgram) {
+/// Under ClearAll every summary is dropped, and the warmer still
+/// re-summarizes exactly the hot set: a probe queried before the commit
+/// answers from the store afterwards.
+TEST(AnalysisServiceTest, PresummarizeClearAllWarmsHotSet) {
   ServiceOptions SO;
   SO.Presummarize = true;
   SO.Policy = incremental::InvalidationPolicy::ClearAll;
   AnalysisService S(makeWorkload(), SO);
   std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
   ASSERT_GT(Probe.size(), 8u);
+  ASSERT_GT(S.queryVars(Probe).Stats.SummariesComputed, 0u);
 
   S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
   S.submitCommit().wait();
@@ -890,55 +891,42 @@ TEST(AnalysisServiceTest, PresummarizeClearAllWarmsWholeProgram) {
 
   ServiceBatchResult Warm = S.queryVars(Probe);
   EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
-      << "a whole-program warm must cover variables never queried before";
+      << "the warm pass must re-summarize the hot set under ClearAll";
 }
 
-/// The default Hot scope warms only what clients recently queried; the
-/// speculative HotAndInvalidated scope additionally covers variables
-/// the edited methods own that no batch ever asked for.  Distinguish
-/// them by querying exactly those never-queried variables afterwards:
-/// speculative warming answers them from the store, Hot leaves them to
-/// compute on first demand.
-TEST(AnalysisServiceTest, PresummarizeScopeHotSkipsUnqueriedVars) {
-  for (bool Speculative : {false, true}) {
-    ServiceOptions SO;
-    SO.Presummarize = true;
-    SO.WarmScope = Speculative ? PresummarizeScope::HotAndInvalidated
-                               : PresummarizeScope::Hot;
-    AnalysisService S(makeWorkload(), SO);
-    std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-    ASSERT_GT(Probe.size(), 8u);
-    (void)S.queryVars(Probe);
+/// The warmer re-summarizes only what clients recently queried: the
+/// edited method's never-queried variables still compute on first
+/// demand.
+TEST(AnalysisServiceTest, PresummarizeSkipsUnqueriedVars) {
+  ServiceOptions SO;
+  SO.Presummarize = true;
+  AnalysisService S(makeWorkload(), SO);
+  std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
+  ASSERT_GT(Probe.size(), 8u);
+  (void)S.queryVars(Probe);
 
-    std::vector<ir::MethodId> Edited;
-    S.editProgram([&](ir::Program &Q) {
-      Edited = applyScriptEdit(Q, 0);
-      return Edited;
-    });
-    S.submitCommit().wait();
-    S.waitForWarm();
-    ASSERT_GE(S.stats().WarmRuns, 1u);
-    ASSERT_EQ(Edited.size(), 1u);
+  std::vector<ir::MethodId> Edited;
+  S.editProgram([&](ir::Program &Q) {
+    Edited = applyScriptEdit(Q, 0);
+    return Edited;
+  });
+  S.submitCommit().wait();
+  S.waitForWarm();
+  ASSERT_GE(S.stats().WarmRuns, 1u);
+  ASSERT_EQ(Edited.size(), 1u);
 
-    std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
-    std::vector<ir::VarId> Unqueried;
-    const std::vector<ir::Variable> &Vars = S.program().variables();
-    for (size_t I = 0; I < Vars.size(); ++I)
-      if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
-        Unqueried.push_back(ir::VarId(I));
-    ASSERT_GT(Unqueried.size(), 0u)
-        << "the edited method must own variables outside the probe";
+  std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
+  std::vector<ir::VarId> Unqueried;
+  const std::vector<ir::Variable> &Vars = S.program().variables();
+  for (size_t I = 0; I < Vars.size(); ++I)
+    if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
+      Unqueried.push_back(ir::VarId(I));
+  ASSERT_GT(Unqueried.size(), 0u)
+      << "the edited method must own variables outside the probe";
 
-    ServiceBatchResult R = S.queryVars(Unqueried);
-    if (Speculative)
-      EXPECT_EQ(R.Stats.SummariesComputed, 0u)
-          << "HotAndInvalidated must have warmed the edited method's "
-             "variables";
-    else
-      EXPECT_GT(R.Stats.SummariesComputed, 0u)
-          << "Hot scope must not speculatively warm never-queried "
-             "variables";
-  }
+  ServiceBatchResult R = S.queryVars(Unqueried);
+  EXPECT_GT(R.Stats.SummariesComputed, 0u)
+      << "the warmer must not speculatively warm never-queried variables";
 }
 
 /// Presummarize off is the default and must stay inert: no warm passes,

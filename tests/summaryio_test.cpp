@@ -232,6 +232,29 @@ TEST(SummaryIOTest, CorruptMagicVersionAndHeaderRejected) {
   EXPECT_EQ(B.DynSum->cacheSize(), 0u);
 }
 
+/// v2 files (unframed records, no header checksum) are no longer read:
+/// even a well-formed v2 buffer for the right program is refused at the
+/// version field, with nothing merged.
+TEST(SummaryIOTest, Version2BufferRefusedAsUnsupported) {
+  Instance A(dynsum::testing::kFigure2Source);
+  std::string V2;
+  auto Put = [&V2](uint64_t V, int Bytes) {
+    for (int I = 0; I < Bytes; ++I)
+      V2.push_back(char((V >> (8 * I)) & 0xff));
+  };
+  Put(kSummaryFileMagic, 4);
+  Put(2, 4);
+  Put(programFingerprint(*A.Prog), 8);
+  Put(0, 8); // entry count
+
+  SummaryLoadReport R = deserializeSummariesReport(*A.DynSum, V2);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("unsupported DSUM version 2"), std::string::npos)
+      << R.Error;
+  EXPECT_EQ(R.EntriesLoaded, 0u);
+  EXPECT_EQ(A.DynSum->cacheSize(), 0u);
+}
+
 TEST(SummaryIOTest, FileRoundTrip) {
   Instance A(dynsum::testing::kFigure2Source);
   ir::TypeId MainCls = A.Prog->findClass(A.Prog->names().lookup("Main"));

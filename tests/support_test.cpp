@@ -5,7 +5,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Allocator.h"
 #include "support/BitVector.h"
 #include "support/CommandLine.h"
 #include "support/FlatSet.h"
@@ -28,47 +27,6 @@
 #include <string>
 
 using namespace dynsum;
-
-//===----------------------------------------------------------------------===//
-// BumpPtrAllocator
-//===----------------------------------------------------------------------===//
-
-TEST(AllocatorTest, ReturnsAlignedChunks) {
-  BumpPtrAllocator A(/*SlabSize=*/128);
-  for (size_t Align : {1u, 2u, 4u, 8u, 16u, 64u}) {
-    void *P = A.allocate(3, Align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u) << Align;
-  }
-}
-
-TEST(AllocatorTest, GrowsBeyondOneSlab) {
-  BumpPtrAllocator A(/*SlabSize=*/64);
-  for (int I = 0; I < 100; ++I)
-    ASSERT_NE(A.allocate(32, 8), nullptr);
-  EXPECT_GT(A.numSlabs(), 1u);
-}
-
-TEST(AllocatorTest, OversizedRequestGetsOwnSlab) {
-  BumpPtrAllocator A(/*SlabSize=*/64);
-  void *Big = A.allocate(1024, 8);
-  ASSERT_NE(Big, nullptr);
-  EXPECT_GE(A.bytesAllocated(), 1024u);
-}
-
-TEST(AllocatorTest, DistinctAllocationsDontOverlap) {
-  BumpPtrAllocator A;
-  char *P1 = A.allocateArray<char>(16);
-  char *P2 = A.allocateArray<char>(16);
-  EXPECT_TRUE(P2 >= P1 + 16 || P1 >= P2 + 16);
-}
-
-TEST(AllocatorTest, ResetDropsEverything) {
-  BumpPtrAllocator A;
-  (void)A.allocate(100, 8);
-  A.reset();
-  EXPECT_EQ(A.numSlabs(), 0u);
-  EXPECT_EQ(A.bytesAllocated(), 0u);
-}
 
 //===----------------------------------------------------------------------===//
 // StringInterner

@@ -42,8 +42,8 @@
 /// tier — first queries answer from disk hits instead of recomputing.
 /// --presummarize (serve only) turns on the post-commit warmer: after
 /// each published commit a background pass re-summarizes the
-/// recently-queried variables (PresummarizeScope::Hot), so the first
-/// batch after an edit hits the store instead of computing.
+/// recently-queried variables, so the first batch after an edit hits
+/// the store instead of computing.
 ///
 /// --warm-from-disk=path warms from a different file than the shutdown
 /// snapshot; --store-stripes=N sets the hot tier's lock-stripe count.
