@@ -30,12 +30,15 @@
 #define DYNSUM_ENGINE_STRIPEDMAP_H
 
 #include "analysis/DynSum.h"
+#include "pag/PAG.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace dynsum {
@@ -129,8 +132,17 @@ struct alignas(64) SummaryStripe {
   /// with a key mismatch.
   std::unordered_map<uint64_t, SummaryEntry> Map;
   std::vector<SummaryEntry> Overflow;
-  size_t Count = 0;
+  /// Map's digests listed by the owning method of their key node, so a
+  /// commit erases exactly the invalidated methods' entries instead of
+  /// sweeping the table.  The stripe cannot see the graph when it
+  /// inserts, so new digests wait in Pending until dropMethods, which
+  /// is handed the graph, files them.
+  std::unordered_map<ir::MethodId, std::vector<uint64_t>> ByMethod;
+  std::vector<uint64_t> Pending;
   mutable StripeCounters C;
+
+  /// Entries held, under the caller's lock.
+  size_t size() const { return Map.size() + Overflow.size(); }
 
   /// Lookup under the caller's lock; null on miss.
   const SummaryEntry *find(uint64_t Digest, pag::NodeId Node,
@@ -161,7 +173,7 @@ struct alignas(64) SummaryStripe {
     if (It == Map.end()) {
       Map.emplace(Digest,
                   SummaryEntry{Node, S, std::move(Fields), std::move(Summary)});
-      ++Count;
+      Pending.push_back(Digest);
       return true;
     }
     if (It->second.matches(Node, Fields, S))
@@ -171,8 +183,51 @@ struct alignas(64) SummaryStripe {
         return false;
     Overflow.push_back(
         SummaryEntry{Node, S, std::move(Fields), std::move(Summary)});
-    ++Count;
     return true;
+  }
+
+  /// Commit-time drop under the caller's unique lock.  Files Pending
+  /// into ByMethod by the owning method in \p G, dropping entries whose
+  /// node \p G does not have, then erases every entry of \p Methods.
+  /// Overflow, which holds only digest collisions, is swept.  Costs
+  /// O(pending + dropped + overflow), not O(stripe).  Returns how many
+  /// entries went.
+  size_t dropMethods(const pag::PAG &G,
+                     const std::unordered_set<ir::MethodId> &Methods) {
+    size_t Before = size();
+    // Every pending digest is in Map: only this function and clear()
+    // erase from it, and both empty Pending.
+    for (uint64_t D : Pending) {
+      auto It = Map.find(D);
+      if (It->second.Node >= G.numNodes())
+        Map.erase(It);
+      else
+        ByMethod[G.node(It->second.Node).Method].push_back(D);
+    }
+    Pending.clear();
+    for (ir::MethodId M : Methods) {
+      auto It = ByMethod.find(M);
+      if (It == ByMethod.end())
+        continue;
+      for (uint64_t D : It->second)
+        Map.erase(D);
+      ByMethod.erase(It);
+    }
+    auto Drops = [&](const SummaryEntry &E) {
+      return E.Node >= G.numNodes() ||
+             Methods.count(G.node(E.Node).Method) != 0;
+    };
+    Overflow.erase(std::remove_if(Overflow.begin(), Overflow.end(), Drops),
+                   Overflow.end());
+    return Before - size();
+  }
+
+  /// Empties the table and both method indexes.
+  void clear() {
+    Map.clear();
+    Overflow.clear();
+    ByMethod.clear();
+    Pending.clear();
   }
 };
 
@@ -183,7 +238,7 @@ class StripedSummaryMap {
 public:
   /// Rounds \p StripeCount up to a power of two (0 picks the default,
   /// 16 — enough that a CI-sized thread count rarely collides, small
-  /// enough that all-stripe sweeps stay cheap).
+  /// enough that all-stripe passes stay cheap).
   explicit StripedSummaryMap(unsigned StripeCount = 0) {
     unsigned Want = StripeCount == 0 ? 16 : StripeCount;
     Count = 1;

@@ -40,7 +40,7 @@ bool TieredSummaryStore::probeDisk(const DiskTier &T, uint64_t RecDigest,
   if (Node >= T.CanonOf.size())
     return false;
   // A record whose key method was invalidated by ANY commit since the
-  // attach is exactly a hot entry beginGeneration would have swept.
+  // attach is exactly a hot entry beginGeneration would have dropped.
   if (!T.Invalidated.empty() && T.Invalidated.count(T.MethodOf[Node]) != 0)
     return false;
   // findBody decodes the record straight into \p Out (capacity reused
@@ -222,40 +222,17 @@ size_t TieredSummaryStore::beginGeneration(
 
   // Node ids are stable across delta builds, so surviving entries carry
   // over verbatim: digests unchanged, erase in place — no rehash, no
-  // entry moves.  An entry drops when its node vanished (defensive; ids
-  // are append-only in practice) or its method is invalidated.
-  auto Drops = [&](const SummaryEntry &E) {
-    return E.Node >= NewGraph.numNodes() ||
-           Plan.Methods.count(NewGraph.node(E.Node).Method) != 0;
-  };
-
+  // entry moves.  Each stripe erases its per-method lists of the plan's
+  // methods, after filing what was published since the last commit.
   size_t Dropped = 0;
   for (unsigned I = 0; I < Hot.numStripes(); ++I) {
     SummaryStripe &St = Hot.stripe(I);
-    size_t Before = St.Count;
-    size_t Kept = 0;
-    for (auto It = St.Map.begin(); It != St.Map.end();) {
-      if (Drops(It->second)) {
-        It = St.Map.erase(It);
-      } else {
-        ++It;
-        ++Kept;
-      }
-    }
-    for (auto It = St.Overflow.begin(); It != St.Overflow.end();) {
-      if (Drops(*It)) {
-        It = St.Overflow.erase(It);
-      } else {
-        ++It;
-        ++Kept;
-      }
-    }
-    St.Count = Kept;
-    St.C.Invalidated.fetch_add(Before - Kept, std::memory_order_relaxed);
-    Dropped += Before - Kept;
+    size_t N = St.dropMethods(NewGraph, Plan.Methods);
+    St.C.Invalidated.fetch_add(N, std::memory_order_relaxed);
+    Dropped += N;
   }
 
-  // The disk tier parallels the sweep: accumulate the plan into the
+  // The disk tier parallels the drop: accumulate the plan into the
   // invalidated set so records of these methods are refused forever
   // after (exactly what would have happened had they been resident).
   if (std::shared_ptr<DiskTier> T = std::atomic_load(&Disk))
@@ -270,10 +247,8 @@ void TieredSummaryStore::clear() {
       Hot.lockAllUnique();
   for (unsigned I = 0; I < Hot.numStripes(); ++I) {
     SummaryStripe &St = Hot.stripe(I);
-    St.C.Invalidated.fetch_add(St.Count, std::memory_order_relaxed);
-    St.Map.clear();
-    St.Overflow.clear();
-    St.Count = 0;
+    St.C.Invalidated.fetch_add(St.size(), std::memory_order_relaxed);
+    St.clear();
   }
   // A clear means the generation lineage branched (rollback) or the
   // policy wants a cold store (ClearAll): the attach-time snapshot's
@@ -289,7 +264,7 @@ size_t TieredSummaryStore::size() const {
   size_t Total = 0;
   for (unsigned I = 0; I < Hot.numStripes(); ++I) {
     std::shared_lock<std::shared_mutex> Lock = Hot.lockShared(I);
-    Total += Hot.stripe(I).Count;
+    Total += Hot.stripe(I).size();
   }
   return Total;
 }

@@ -36,8 +36,8 @@
 /// generation through SummaryStoreEpoch: a fetch or publish from a
 /// stale epoch misses / is dropped, so summaries computed against
 /// different graph versions can never mix.  Both cross-stripe
-/// operations hold EVERY stripe lock while sweeping and bumping, so a
-/// single-stripe publishAt can never land in an already-swept stripe
+/// operations hold EVERY stripe lock while dropping and bumping, so a
+/// single-stripe publishAt can never land in an already-dropped stripe
 /// of the old generation — the classic striped-invalidation leak.
 ///
 /// The disk tier under generations: the attach captures the node <->
@@ -46,7 +46,7 @@
 /// beginGeneration accumulates the plan's methods into an invalidated
 /// set.  A disk record whose key node's method was EVER invalidated
 /// since attach is refused — exactly the summaries a resident hot
-/// entry would have been swept for — and clear() (rollback, ClearAll
+/// entry would have been dropped for — and clear() (rollback, ClearAll
 /// policy) detaches the tier entirely, since its lineage assumption is
 /// gone.  Nodes created after attach skip the disk probe.
 ///
@@ -97,12 +97,18 @@ public:
   uint64_t generation() const { return Gen.load(std::memory_order_acquire); }
 
   /// Commit handoff: drops the hot summaries keyed at nodes owned by
-  /// any method the plan names (looked up in the post-rebuild
-  /// \p NewGraph — node ids are stable, so every surviving key stays
-  /// valid verbatim), extends the disk tier's invalidated-method set
-  /// the same way, and bumps the generation — all under every stripe
-  /// lock, so no concurrent publish can slip a stale entry past the
-  /// sweep.  Returns how many hot summaries were dropped.
+  /// any method the plan names (ir::kNone names the unowned nodes:
+  /// globals and the null object), extends the disk tier's
+  /// invalidated-method set the same way, and bumps the generation —
+  /// all under every stripe lock, so no concurrent publish can slip a
+  /// stale entry past the drop.  Node ids are stable, so every
+  /// surviving key stays valid verbatim.  The drop goes through each
+  /// stripe's per-method lists, not a sweep: summaries published since
+  /// the last commit are first filed by their owning method in the
+  /// post-rebuild \p NewGraph (one whose node \p NewGraph lacks is
+  /// dropped), then the plan's lists are erased.  A commit costs
+  /// O(summaries published since the last commit + summaries dropped),
+  /// not O(store).  Returns how many hot summaries were dropped.
   size_t beginGeneration(const pag::PAG &NewGraph,
                          const incremental::InvalidationPlan &Plan);
 

@@ -159,7 +159,7 @@ namespace {
 /// lock (which editProgram/submitCommit take themselves).
 class ProgramGuard {
 public:
-  ProgramGuard(std::shared_mutex *M, bool Exclusive)
+  ProgramGuard(support::SharedMutex *M, bool Exclusive)
       : M(M), Exclusive(Exclusive) {
     if (!M)
       return;
@@ -180,7 +180,7 @@ public:
   ProgramGuard &operator=(const ProgramGuard &) = delete;
 
 private:
-  std::shared_mutex *M;
+  support::SharedMutex *M;
   bool Exclusive;
 };
 
@@ -465,7 +465,18 @@ CommandStatus CommandInterpreter::execute(const std::string &Line,
     return CommandStatus::Ok;
   }
   if (Cmd == "rollback" && W.size() == 2) {
-    uint64_t Gen = uint64_t(std::atoll(W[1].c_str()));
+    // Digits only, the whole word: a lenient parse would read "oops"
+    // as 0, which names the current generation of a tenant that has not
+    // committed yet — and rolling back to it clears the store.
+    char *End = nullptr;
+    errno = 0;
+    uint64_t Gen = std::strtoull(W[1].c_str(), &End, 10);
+    if (!std::isdigit(static_cast<unsigned char>(W[1][0])) || *End != '\0' ||
+        errno == ERANGE) {
+      Err << "error: rollback wants a generation number, got '" << W[1]
+          << "'\n";
+      return CommandStatus::Error;
+    }
     if (S.rollback(Gen)) {
       Out << "rolled back to snapshot " << Gen << "; now serving "
           << "generation " << S.generation()

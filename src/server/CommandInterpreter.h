@@ -28,7 +28,10 @@
 /// execution then takes it shared for read-only commands (name
 /// resolution reads the live ir::Program, which the service's
 /// thread-safety contract leaves to the caller) and exclusive for
-/// program-mutating ones (alloc/assign/touch).
+/// program-mutating ones (alloc/assign/touch).  The lock is a
+/// writer-preferring support::SharedMutex: an edit waits for the
+/// queries already inside, not for every query that arrives after it.
+/// It is not recursive, so each command takes it exactly once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +40,10 @@
 
 #include "service/AnalysisService.h"
 #include "support/OStream.h"
+#include "support/SharedMutex.h"
 
 #include <cstdio>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -101,7 +104,7 @@ public:
   /// for queries, exclusive for alloc/assign/touch).  A single-session
   /// front end (the REPL) passes null and skips locking entirely.
   explicit CommandInterpreter(service::AnalysisService &S,
-                              std::shared_mutex *ProgramLock = nullptr)
+                              support::SharedMutex *ProgramLock = nullptr)
       : S(S), ProgramLock(ProgramLock) {}
 
   /// Executes one command line, writing the reply to \p Out and
@@ -127,7 +130,7 @@ private:
   CommandStatus runStats(OStream &Out);
 
   service::AnalysisService &S;
-  std::shared_mutex *ProgramLock;
+  support::SharedMutex *ProgramLock;
   /// Session state: per-query wall-clock deadline (0 = unlimited).
   double DeadlineMs = 0.0;
 };

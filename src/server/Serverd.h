@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,8 +130,11 @@ private:
     std::string Name;
     /// Serializes program reads (name resolution, describeAlloc) in
     /// this tenant's sessions against its program-mutating commands;
-    /// handed to every CommandInterpreter bound here.
-    std::shared_mutex ProgramLock;
+    /// handed to every CommandInterpreter bound here.  Writer-preferring,
+    /// so a waiting alloc/assign/touch is not starved by closed-loop
+    /// queries; it is never taken shared twice on one thread (a query
+    /// takes it once, for resolution, the batch and the reply).
+    support::SharedMutex ProgramLock;
     std::unique_ptr<service::AnalysisService> Service;
   };
 

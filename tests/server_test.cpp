@@ -204,6 +204,34 @@ TEST(CommandInterpreter, EditCommitQueryRoundTrip) {
   EXPECT_NE(Reply.find("generation 1"), std::string::npos) << Reply;
 }
 
+TEST(CommandInterpreter, RollbackRefusesAnythingButANumber) {
+  // The fixed bug: the argument was parsed leniently, so "rollback oops"
+  // meant "rollback 0" — the current generation of a tenant that has
+  // not committed yet — and the rollback to it cleared the store.
+  auto S = makeService();
+  CommandInterpreter I(*S);
+  run(I, "query Main.main.s1");
+  uint64_t Gen = S->generation();
+  size_t Store = S->stats().StoreSize;
+  ASSERT_GT(Store, 0u);
+  std::vector<std::string> Bad = {"oops", "-1", "+0", "0x0", "0oops"};
+  Bad.push_back("18446744073709551616"); // 2^64: out of range
+  for (const std::string &Arg : Bad) {
+    CommandStatus St;
+    std::string Reply = run(I, "rollback " + Arg, &St);
+    EXPECT_EQ(St, CommandStatus::Error) << Arg;
+    EXPECT_NE(Reply.find("error: rollback wants a generation number"),
+              std::string::npos)
+        << Reply;
+    EXPECT_EQ(S->generation(), Gen) << Arg;
+    EXPECT_EQ(S->stats().StoreSize, Store) << Arg;
+  }
+  // A number still reaches the service.
+  CommandStatus St;
+  std::string Reply = run(I, "rollback 0", &St);
+  EXPECT_EQ(St, CommandStatus::Ok) << Reply;
+}
+
 //===----------------------------------------------------------------------===//
 // Shutdown plumbing
 //===----------------------------------------------------------------------===//

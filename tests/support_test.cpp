@@ -14,6 +14,7 @@
 #include "support/Parallel.h"
 #include "support/PrettyTable.h"
 #include "support/Random.h"
+#include "support/SharedMutex.h"
 #include "support/SmallVector.h"
 #include "support/Statistics.h"
 #include "support/StringInterner.h"
@@ -22,9 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 
 using namespace dynsum;
 
@@ -615,4 +619,69 @@ TEST(ParallelTest, JobsEachRunExactlyOnce) {
     for (size_t I = 0; I < kJobs; ++I)
       EXPECT_EQ(Ran[I].load(), 1u) << "job " << I;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// SharedMutex (the server's program lock)
+//===----------------------------------------------------------------------===//
+
+TEST(SharedMutexTest, ReadersShareAndWritersExclude) {
+  support::SharedMutex M;
+  M.lock_shared();
+  std::thread([&] {
+    EXPECT_TRUE(M.try_lock_shared()) << "readers share the lock";
+    M.unlock_shared();
+    EXPECT_FALSE(M.try_lock()) << "a writer waits for the reader";
+  }).join();
+  M.unlock_shared();
+
+  std::unique_lock<support::SharedMutex> Write(M);
+  std::thread([&] {
+    EXPECT_FALSE(M.try_lock_shared());
+    EXPECT_FALSE(M.try_lock());
+  }).join();
+  Write.unlock();
+  std::shared_lock<support::SharedMutex> Read(M);
+  EXPECT_TRUE(Read.owns_lock());
+}
+
+TEST(SharedMutexTest, WaitingWriterIsNotOvertaken) {
+  // One thread reads, a second blocks in lock(): a third thread's new
+  // read must then wait behind the writer instead of joining the
+  // reader.  A reader-preferring lock (std::shared_mutex on glibc) lets
+  // it in, which is how closed-loop queries starved the editor.
+  support::SharedMutex M;
+  std::atomic<bool> ReaderIn{false}, ReleaseReader{false}, WriterIn{false};
+  std::thread Reader([&] {
+    std::shared_lock<support::SharedMutex> Lock(M);
+    ReaderIn = true;
+    while (!ReleaseReader)
+      std::this_thread::yield();
+  });
+  while (!ReaderIn)
+    std::this_thread::yield();
+  std::thread Writer([&] {
+    std::unique_lock<support::SharedMutex> Lock(M);
+    WriterIn = true;
+  });
+
+  // The writer takes a moment to queue; until it has, a new read still
+  // gets in.  Poll until one is refused, within a bound.
+  bool Refused = false;
+  auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!Refused && std::chrono::steady_clock::now() < Until) {
+    if (M.try_lock_shared()) {
+      M.unlock_shared();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      Refused = true;
+    }
+  }
+  EXPECT_TRUE(Refused) << "new readers kept overtaking the waiting writer";
+  EXPECT_FALSE(WriterIn) << "the writer got in while a reader held the lock";
+
+  ReleaseReader = true;
+  Reader.join();
+  Writer.join();
+  EXPECT_TRUE(WriterIn);
 }

@@ -59,8 +59,8 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 struct Fixture {
-  Fixture() {
-    ir::ParseResult R = ir::parseProgram(dynsum::testing::kFigure2Source);
+  explicit Fixture(const char *Source = dynsum::testing::kFigure2Source) {
+    ir::ParseResult R = ir::parseProgram(Source);
     EXPECT_TRUE(R.ok()) << R.Error;
     Prog = std::move(R.Prog);
     Built = pag::buildPAG(*Prog);
@@ -188,22 +188,81 @@ struct OracleStore {
 // Oracle equivalence with exact counters, at 1 / 4 / 16 stripes
 //===----------------------------------------------------------------------===//
 
-TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
-  Fixture F;
+namespace {
+
+/// How a replay shapes its commits.  Every knob is a percentage; at 0
+/// the knob draws nothing from the generator, so an all-zero mix
+/// replays the plain op log.
+struct CommitMix {
+  /// Plans that also name ir::kNone, as every real commit's does.
+  unsigned UnownedPct = 0;
+  /// Plans that repeat a method the previous plan invalidated.
+  unsigned RepeatPct = 0;
+  /// Clears followed directly by a commit.
+  unsigned CommitAfterClearPct = 0;
+};
+
+/// What a replay's commits covered (summed over the stripe counts).
+struct CommitCoverage {
+  unsigned Commits = 0;
+  unsigned UnownedPlans = 0;
+  unsigned RepeatPlans = 0;
+  unsigned CommitsAfterClear = 0;
+  /// Oracle entries keyed at unowned nodes that a commit dropped.
+  size_t UnownedDropped = 0;
+};
+
+/// Replays one fuzzed op log (seeded by \p Seed, shaped by \p Mix)
+/// against the striped store at 1/4/16 stripes and against the oracle:
+/// every probe must agree hit-for-miss and byte-for-byte, every commit
+/// must drop what the oracle's sweep drops, and every counter must land
+/// on the oracle's exact count.
+CommitCoverage replayAgainstOracle(const Fixture &F, uint64_t Seed,
+                                   const CommitMix &Mix) {
+  CommitCoverage Cov;
   std::vector<Key> Keys = keyUniverse(F.graph());
-  ASSERT_GT(Keys.size(), 100u);
   std::vector<ir::MethodId> Methods;
   for (const ir::Method &M : F.Prog->methods())
     Methods.push_back(M.Id);
 
   for (unsigned Stripes : {1u, 4u, 16u}) {
+    SCOPED_TRACE(std::to_string(Stripes) + " stripes");
     TieredSummaryStore Store(Stripes);
-    ASSERT_EQ(Store.numStripes(), Stripes);
+    EXPECT_EQ(Store.numStripes(), Stripes);
     OracleStore Oracle;
     StoreCounters Exp; // the oracle's exact expected counter values
+    std::vector<ir::MethodId> LastPlan;
 
     // Same seed for every stripe count: striping must be invisible.
-    std::mt19937_64 Rng(0xd15c0);
+    std::mt19937_64 Rng(Seed);
+    auto Pct = [&](unsigned P) { return P != 0 && Rng() % 100 < P; };
+
+    // A commit invalidating 0-2 methods, plus what the mix adds.
+    auto Commit = [&](unsigned Op) {
+      InvalidationPlan Plan;
+      for (unsigned I = Rng() % 3; I > 0; --I)
+        Plan.Methods.insert(Methods[Rng() % Methods.size()]);
+      if (Pct(Mix.UnownedPct)) {
+        Plan.Methods.insert(ir::kNone);
+        ++Cov.UnownedPlans;
+      }
+      if (!LastPlan.empty() && Pct(Mix.RepeatPct)) {
+        Plan.Methods.insert(LastPlan[Rng() % LastPlan.size()]);
+        ++Cov.RepeatPlans;
+      }
+      if (Plan.Methods.count(ir::kNone) != 0)
+        for (const auto &KV : Oracle.Map)
+          Cov.UnownedDropped +=
+              F.graph().node(std::get<0>(KV.first)).Method == ir::kNone;
+      LastPlan.assign(Plan.Methods.begin(), Plan.Methods.end());
+      size_t Got = Store.beginGeneration(F.graph(), Plan);
+      size_t Want = Oracle.beginGeneration(F.graph(), Plan);
+      EXPECT_EQ(Got, Want) << "op " << Op;
+      EXPECT_EQ(Store.size(), Oracle.Map.size()) << "op " << Op;
+      Exp.Invalidated += Want;
+      ++Cov.Commits;
+    };
+
     for (unsigned Op = 0; Op < 6000; ++Op) {
       unsigned Roll = Rng() % 100;
       const Key &K = Keys[Rng() % Keys.size()];
@@ -218,8 +277,8 @@ TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
         PortableSummary Got, Want;
         bool GotHit = Store.fetchAt(AtGen, K.Node, K.Fields, K.State, Got);
         bool WantHit = Oracle.fetchAt(AtGen, K, Want);
-        ASSERT_EQ(GotHit, WantHit) << "op " << Op;
-        if (GotHit) {
+        EXPECT_EQ(GotHit, WantHit) << "op " << Op;
+        if (GotHit && WantHit) {
           EXPECT_TRUE(sameSummary(Got, Want)) << "op " << Op;
           EXPECT_TRUE(sameSummary(Got, summaryFor(F.graph(), K)));
         }
@@ -232,8 +291,8 @@ TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
         PortableSummary Got, Want;
         bool GotHit = Store.fetch(K.Node, K.Fields, K.State, Got);
         bool WantHit = Oracle.fetchAt(Oracle.Gen, K, Want);
-        ASSERT_EQ(GotHit, WantHit) << "op " << Op;
-        if (GotHit) {
+        EXPECT_EQ(GotHit, WantHit) << "op " << Op;
+        if (GotHit && WantHit) {
           EXPECT_TRUE(sameSummary(Got, Want)) << "op " << Op;
         }
         ++Exp.Fetches;
@@ -252,22 +311,22 @@ TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
         Store.publish(K.Node, K.Fields, K.State, summaryFor(F.graph(), K));
         if (Oracle.publishAt(Oracle.Gen, K, summaryFor(F.graph(), K)))
           ++Exp.Publishes;
-      } else if (Roll < 98) { // commit: invalidate 0-2 methods
-        InvalidationPlan Plan;
-        for (unsigned I = Rng() % 3; I > 0; --I)
-          Plan.Methods.insert(Methods[Rng() % Methods.size()]);
-        size_t Got = Store.beginGeneration(F.graph(), Plan);
-        size_t Want = Oracle.beginGeneration(F.graph(), Plan);
-        ASSERT_EQ(Got, Want) << "op " << Op;
-        Exp.Invalidated += Want;
+      } else if (Roll < 98) { // commit
+        Commit(Op);
       } else { // clear
         Exp.Invalidated += Oracle.clear();
         Store.clear();
+        if (Pct(Mix.CommitAfterClearPct)) {
+          Commit(Op);
+          ++Cov.CommitsAfterClear;
+        }
       }
-      ASSERT_EQ(Store.generation(), Oracle.Gen) << "op " << Op;
+      EXPECT_EQ(Store.generation(), Oracle.Gen) << "op " << Op;
       if (Op % 512 == 0) {
-        ASSERT_EQ(Store.size(), Oracle.Map.size()) << "op " << Op;
+        EXPECT_EQ(Store.size(), Oracle.Map.size()) << "op " << Op;
       }
+      if (::testing::Test::HasFailure())
+        return Cov; // one divergence; the rest would only repeat it
     }
 
     EXPECT_EQ(Store.size(), Oracle.Map.size());
@@ -278,12 +337,12 @@ TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
     // store's direct-lock paths silently undercounted; the striped
     // map's counting helpers are the only way in).
     StoreCounters C = Store.counters();
-    EXPECT_EQ(C.Fetches, Exp.Fetches) << Stripes << " stripes";
-    EXPECT_EQ(C.Hits, Exp.Hits) << Stripes << " stripes";
-    EXPECT_EQ(C.StaleFetches, Exp.StaleFetches) << Stripes << " stripes";
-    EXPECT_EQ(C.Publishes, Exp.Publishes) << Stripes << " stripes";
-    EXPECT_EQ(C.StalePublishes, Exp.StalePublishes) << Stripes << " stripes";
-    EXPECT_EQ(C.Invalidated, Exp.Invalidated) << Stripes << " stripes";
+    EXPECT_EQ(C.Fetches, Exp.Fetches);
+    EXPECT_EQ(C.Hits, Exp.Hits);
+    EXPECT_EQ(C.StaleFetches, Exp.StaleFetches);
+    EXPECT_EQ(C.Publishes, Exp.Publishes);
+    EXPECT_EQ(C.StalePublishes, Exp.StalePublishes);
+    EXPECT_EQ(C.Invalidated, Exp.Invalidated);
     EXPECT_EQ(C.LockContended, 0u)
         << "single-threaded runs must never report contention";
     EXPECT_EQ(C.DiskProbes, 0u) << "no disk tier was attached";
@@ -302,6 +361,40 @@ TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
     EXPECT_EQ(Sum.Publishes, C.Publishes);
     EXPECT_EQ(Sum.Invalidated, C.Invalidated);
   }
+  return Cov;
+}
+
+} // namespace
+
+TEST(TieredStoreOracleTest, FuzzedOpLogMatchesOracleExactly) {
+  Fixture F;
+  ASSERT_GT(keyUniverse(F.graph()).size(), 100u);
+  replayAgainstOracle(F, 0xd15c0, CommitMix{});
+}
+
+TEST(TieredStoreOracleTest, UnownedRepeatedAndPostClearDropsMatchOracle) {
+  // What real commits drop: every plan a service builds names
+  // ir::kNone (the summaries of globals and the null object), hot
+  // methods are invalidated commit after commit, and a rollback's clear
+  // is followed by ordinary commits.  The fixture has a global, so some
+  // keys are unowned.
+  Fixture F(dynsum::testing::kGlobalSource);
+  size_t Unowned = 0;
+  for (uint32_t N = 0; N < F.graph().numNodes(); ++N)
+    Unowned += F.graph().node(pag::NodeId(N)).Method == ir::kNone;
+  ASSERT_GT(Unowned, 0u);
+
+  CommitMix Mix;
+  Mix.UnownedPct = 60;
+  Mix.RepeatPct = 50;
+  Mix.CommitAfterClearPct = 50;
+  CommitCoverage Cov = replayAgainstOracle(F, 0x6109a1, Mix);
+  // The mix must actually have produced each kind of commit.
+  EXPECT_GT(Cov.UnownedPlans, 0u);
+  EXPECT_GT(Cov.UnownedDropped, 0u);
+  EXPECT_GT(Cov.RepeatPlans, 0u);
+  EXPECT_GT(Cov.CommitsAfterClear, 0u);
+  EXPECT_LT(Cov.UnownedPlans, Cov.Commits) << "some plans must leave kNone out";
 }
 
 //===----------------------------------------------------------------------===//
