@@ -7,21 +7,27 @@
 /// plus one node per (object, field) pair touched by a load or store.
 /// Assign-like PAG edges (assign, assignglobal, entry, exit) become
 /// static copy edges.  Loads and stores add dynamic copy edges as
-/// objects reach base variables, the textbook worklist formulation.
+/// objects reach base variables.
 ///
-/// The solver is a FIFO worklist templated over the points-to
-/// container (HybridPtsSet by default, BitVector for the Dense A/B
-/// baseline).
+/// The solver is wave propagation (Pereira & Berlin, CGO 2009),
+/// templated over the points-to container (HybridPtsSet by default,
+/// BitVector for the Dense A/B baseline).  Each sweep collapses every
+/// copy-graph cycle a dirty node reaches into one representative, then
+/// visits the dirty representatives once each in topological order:
+/// field discovery over the objects new at a load/store base, then the
+/// node's whole set OR'd into each successor.  Sweeps repeat until one
+/// leaves nothing dirty.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Andersen.h"
 
+#include "support/FlatSet.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <numeric>
 
 using namespace dynsum;
 using namespace dynsum::analysis;
@@ -29,40 +35,34 @@ using namespace dynsum::pag;
 
 namespace {
 
-/// One load or store site, keyed by its base variable.
+constexpr uint32_t kNone32 = ~uint32_t(0);
+
+/// One load or store site, filed under its base variable.
 struct Access {
-  uint32_t Base;
   uint32_t Other; // load destination / store source
   ir::FieldId F;
 };
 
-/// Member iteration for the serial discovery loop.  The dense baseline
-/// keeps the seed's alloc-universe probe scan; the hybrid set walks its
-/// members directly — O(|set|) instead of O(universe), the sparse
-/// representation's main win.  Collected into a scratch vector because
-/// the caller creates field nodes (growing the set vector) mid-loop.
-void collectMembers(const BitVector &S, size_t Universe,
-                    std::vector<uint32_t> &Out) {
+/// Appends to \p Out the members of \p S not yet in \p Seen, adding them
+/// to \p Seen.  The dense baseline keeps the seed's alloc-universe probe
+/// scan; the hybrid set walks only the new members, in the union's own
+/// loop.  Collected into a scratch vector because the caller creates
+/// field nodes (growing the set vector) while it consumes them.
+void takeNew(const BitVector &S, BitVector &Seen, size_t Universe,
+             std::vector<uint32_t> &Out) {
   for (size_t A = 0; A < Universe; ++A)
-    if (S.test(A))
+    if (S.test(A) && Seen.set(A))
       Out.push_back(uint32_t(A));
 }
-void collectMembers(const HybridPtsSet &S, size_t,
-                    std::vector<uint32_t> &Out) {
-  S.forEach([&](uint32_t A) { Out.push_back(A); });
+void takeNew(const HybridPtsSet &S, HybridPtsSet &Seen, size_t,
+             std::vector<uint32_t> &Out) {
+  Seen.orInPlace(S, [&](uint32_t A) { Out.push_back(A); });
 }
 
 } // namespace
 
 AndersenAnalysis::AndersenAnalysis(const PAG &G, PtsRep Rep)
     : Graph(G), NumAllocs(G.program().allocs().size()), Rep(Rep) {}
-
-bool AndersenAnalysis::addCopy(uint32_t Src, uint32_t Dst) {
-  if (!CopyEdges.insert(Src, Dst))
-    return false;
-  CopySucc[Src].push_back(Dst);
-  return true;
-}
 
 void AndersenAnalysis::solve() {
   if (Solved)
@@ -75,40 +75,56 @@ void AndersenAnalysis::solve() {
 }
 
 template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
-  size_t NumVars = Graph.numNodes();
-  P.assign(NumVars, typename SetVec::value_type(NumAllocs));
-  CopySucc.assign(NumVars, {});
-  CopyEdges.clear();
+  using Set = typename SetVec::value_type;
+  const uint32_t NumVars = uint32_t(Graph.numNodes());
+  P.assign(NumVars, Set(NumAllocs));
+  RepOf.resize(NumVars);
+  std::iota(RepOf.begin(), RepOf.end(), 0u);
 
+  // Everything below is scratch, freed when the solve returns.  Lists
+  // indexed by node are only meaningful at representatives; successor
+  // entries may name merged nodes until the next visit rewrites them.
+  std::vector<std::vector<uint32_t>> Succ(NumVars);
+  FlatPairSet Edges; // every copy edge ever added, in original node ids
+  std::vector<uint8_t> Dirty(NumVars, 0);
   std::vector<std::vector<Access>> LoadsAt(NumVars), StoresAt(NumVars);
+  // Objects each load/store base has already run discovery for.  Only
+  // bases get a set: one per variable would cost a set header each.
+  std::vector<uint32_t> SeenOf(NumVars, kNone32);
+  std::vector<Set> Seen;
 
-  // FIFO worklist: the solver is a monotone fixpoint, so any order is
-  // correct, but breadth-first propagation batches set-union work and
-  // converges with ~3x fewer propagations than LIFO on the generated
-  // workloads.  (This is a whole-program pre-analysis, not the query
-  // hot path, so the deque's allocation pattern is acceptable.)
-  std::deque<uint32_t> Worklist;
-  BitVector InList(NumVars);
-  std::vector<uint32_t> Members; // discovery scratch, reused per pop
-  auto Enqueue = [&](uint32_t N) {
-    if (N < NumVars) {
-      if (!InList.set(N))
-        return;
+  auto Find = [&](uint32_t N) {
+    while (RepOf[N] != N) {
+      RepOf[N] = RepOf[RepOf[N]]; // path halving
+      N = RepOf[N];
     }
-    Worklist.push_back(N);
+    return N;
   };
 
   auto FieldNodeOf = [&](ir::AllocId A, ir::FieldId F) -> uint32_t {
-    uint64_t Key = packPair(A, F);
-    auto It = FieldNodes.find(Key);
-    if (It != FieldNodes.end())
-      return It->second;
-    uint32_t Id = uint32_t(P.size());
-    P.emplace_back(NumAllocs);
-    CopySucc.emplace_back();
-    FieldNodes.emplace(Key, Id);
-    FieldNodeKeys.emplace_back(A, F);
-    return Id;
+    auto [It, New] =
+        FieldNodes.try_emplace(packPair(A, F), uint32_t(P.size()));
+    if (New) {
+      P.emplace_back(NumAllocs);
+      Succ.emplace_back();
+      RepOf.push_back(It->second);
+      Dirty.push_back(0);
+    }
+    return It->second;
+  };
+
+  // Adds copy edge Src -> Dst.  A new edge dirties its source so the
+  // source's whole set crosses it, unless the source is the node being
+  // visited, whose propagation still walks its successor list.
+  auto Connect = [&](uint32_t Src, uint32_t Dst, uint32_t Visiting) {
+    if (!Edges.insert(Src, Dst))
+      return;
+    uint32_t S = Find(Src), D = Find(Dst);
+    if (S == D)
+      return;
+    Succ[S].push_back(D);
+    if (S != Visiting)
+      Dirty[S] = 1;
   };
 
   // Seed the constraint system from the PAG's edge classes.
@@ -119,64 +135,169 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     switch (E.Kind) {
     case EdgeKind::New:
       P[E.Dst].set(Graph.allocOf(E.Src));
-      Enqueue(E.Dst);
+      Dirty[E.Dst] = 1;
       break;
     case EdgeKind::Assign:
     case EdgeKind::AssignGlobal:
     case EdgeKind::Entry:
     case EdgeKind::Exit:
-      addCopy(E.Src, E.Dst);
+      if (E.Src != E.Dst && Edges.insert(E.Src, E.Dst))
+        Succ[E.Src].push_back(E.Dst);
       break;
     case EdgeKind::Load:
       // base --load(f)--> dst
-      LoadsAt[E.Src].push_back(Access{E.Src, E.Dst, E.Aux});
+      LoadsAt[E.Src].push_back(Access{E.Dst, E.Aux});
       break;
     case EdgeKind::Store:
       // src --store(f)--> base
-      StoresAt[E.Dst].push_back(Access{E.Dst, E.Src, E.Aux});
+      StoresAt[E.Dst].push_back(Access{E.Src, E.Aux});
       break;
     }
   }
+  for (uint32_t V = 0; V < NumVars; ++V)
+    if (!LoadsAt[V].empty() || !StoresAt[V].empty()) {
+      SeenOf[V] = uint32_t(Seen.size());
+      Seen.emplace_back(NumAllocs);
+    }
 
-  // InList is sized for variable nodes only; field nodes always enqueue.
-  while (!Worklist.empty()) {
-    uint32_t N = Worklist.front();
-    Worklist.pop_front();
-    if (N < NumVars)
-      InList.reset(N);
-    ++Propagations;
-
-    // Discover dynamic copies induced by field accesses on N's objects.
-    if (N < NumVars && (!LoadsAt[N].empty() || !StoresAt[N].empty())) {
-      Members.clear();
-      collectMembers(P[N], NumAllocs, Members);
-      for (uint32_t A : Members) {
-        for (const Access &L : LoadsAt[N]) {
-          uint32_t FN = FieldNodeOf(ir::AllocId(A), L.F);
-          if (addCopy(FN, L.Other))
-            Enqueue(FN);
-        }
-        for (const Access &S : StoresAt[N]) {
-          uint32_t FN = FieldNodeOf(ir::AllocId(A), S.F);
-          if (addCopy(S.Other, FN))
-            Enqueue(S.Other);
-        }
+  // Merges the SCC Members into its smallest id R.  Variables are
+  // numbered before field nodes, so a cycle through a variable keeps a
+  // variable representative and the access lists stay variable-indexed.
+  std::vector<uint32_t> Members;
+  auto Merge = [&](uint32_t R) {
+    for (uint32_t M : Members)
+      RepOf[M] = R;
+    for (uint32_t M : Members) {
+      if (M == R)
+        continue;
+      P[R].orInPlace(P[M]);
+      P[M] = Set();
+      Succ[R].insert(Succ[R].end(), Succ[M].begin(), Succ[M].end());
+      std::vector<uint32_t>().swap(Succ[M]);
+      Dirty[M] = 0;
+      if (M >= NumVars)
+        continue;
+      for (auto *Lists : {&LoadsAt, &StoresAt}) {
+        std::vector<Access> &From = (*Lists)[M], &To = (*Lists)[R];
+        To.insert(To.end(), From.begin(), From.end());
+        std::vector<Access>().swap(From);
+      }
+      if (SeenOf[M] != kNone32) {
+        if (SeenOf[R] == kNone32)
+          SeenOf[R] = SeenOf[M];
+        else
+          Seen[SeenOf[M]] = Set();
+        SeenOf[M] = kNone32;
       }
     }
+    std::vector<uint32_t> &Out = Succ[R];
+    for (uint32_t &S : Out)
+      S = Find(S);
+    std::sort(Out.begin(), Out.end());
+    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+    Out.erase(std::remove(Out.begin(), Out.end(), R), Out.end());
+    // The merged accesses have seen none of each other's objects.
+    if (R < NumVars && SeenOf[R] != kNone32)
+      Seen[SeenOf[R]] = Set(NumAllocs);
+    Dirty[R] = 1;
+  };
 
-    // Propagate N's set over its copy successors.
-    for (uint32_t Succ : CopySucc[N]) {
-      if (P[Succ].size() != P[N].size())
-        P[Succ].resize(NumAllocs); // defensive; sizes always match
-      if (P[Succ].orInPlace(P[N]))
-        Enqueue(Succ);
+  // Collapse: one iterative Tarjan pass over the representatives a
+  // dirty one reaches (no other node can change this sweep), merging
+  // each SCC and emitting the representatives in topological order.
+  // Index 0 is unvisited and kDone a finished SCC, so any other index is
+  // a node still on the Tarjan stack.
+  constexpr uint32_t kDone = kNone32;
+  std::vector<uint32_t> Index, Low, Stack, Order;
+  std::vector<std::pair<uint32_t, uint32_t>> Frames; // (node, next succ)
+  auto Collapse = [&] {
+    Index.assign(P.size(), 0);
+    Low.assign(P.size(), 0);
+    Order.clear();
+    uint32_t Next = 0;
+    auto Open = [&](uint32_t V) {
+      Index[V] = Low[V] = ++Next;
+      Stack.push_back(V);
+      Frames.emplace_back(V, 0);
+    };
+    for (uint32_t Root = 0; Root < P.size(); ++Root) {
+      if (!Dirty[Root] || Index[Root] != 0)
+        continue;
+      Open(Root);
+      while (!Frames.empty()) {
+        auto &[V, I] = Frames.back();
+        if (I < Succ[V].size()) {
+          uint32_t W = Find(Succ[V][I++]);
+          if (Index[W] == 0)
+            Open(W);
+          else if (Index[W] != kDone)
+            Low[V] = std::min(Low[V], Index[W]);
+          continue;
+        }
+        uint32_t Done = V;
+        Frames.pop_back();
+        if (!Frames.empty()) {
+          uint32_t Parent = Frames.back().first;
+          Low[Parent] = std::min(Low[Parent], Low[Done]);
+        }
+        if (Low[Done] != Index[Done])
+          continue;
+        auto At = std::find(Stack.rbegin(), Stack.rend(), Done).base() - 1;
+        Members.assign(At, Stack.end());
+        Stack.erase(At, Stack.end());
+        for (uint32_t M : Members)
+          Index[M] = kDone;
+        uint32_t R = *std::min_element(Members.begin(), Members.end());
+        if (Members.size() > 1)
+          Merge(R);
+        Order.push_back(R);
+      }
     }
+    std::reverse(Order.begin(), Order.end());
+  };
+
+  std::vector<uint32_t> NewObjs; // discovery scratch, reused per visit
+  for (;;) {
+    Collapse();
+    for (uint32_t N : Order) {
+      if (!Dirty[N])
+        continue;
+      Dirty[N] = 0;
+      ++Propagations;
+
+      // Discover the dynamic copies induced by N's new objects.  Field
+      // nodes created here are not in Order; they wait for next sweep.
+      if (N < NumVars && SeenOf[N] != kNone32) {
+        NewObjs.clear();
+        takeNew(P[N], Seen[SeenOf[N]], NumAllocs, NewObjs);
+        for (uint32_t A : NewObjs) {
+          for (const Access &L : LoadsAt[N])
+            Connect(FieldNodeOf(ir::AllocId(A), L.F), L.Other, N);
+          for (const Access &S : StoresAt[N])
+            Connect(S.Other, FieldNodeOf(ir::AllocId(A), S.F), N);
+        }
+      }
+
+      // Propagate N's whole set over its copy successors.
+      const Set &From = P[N];
+      for (uint32_t &S : Succ[N]) {
+        S = Find(S);
+        if (S != N && P[S].orInPlace(From))
+          Dirty[S] = 1;
+      }
+    }
+    if (std::find(Dirty.begin(), Dirty.end(), uint8_t(1)) == Dirty.end())
+      break;
   }
+
+  for (uint32_t N = 0; N < RepOf.size(); ++N)
+    RepOf[N] = Find(N);
 }
 
 std::vector<ir::AllocId> AndersenAnalysis::allocSites(NodeId V) const {
   assert(Solved && "query before solve()");
   std::vector<ir::AllocId> Out;
+  V = RepOf[V];
   if (Rep == PtsRep::Dense) {
     for (size_t A = 0; A < NumAllocs; ++A)
       if (DensePts[V].test(A))
@@ -189,6 +310,7 @@ std::vector<ir::AllocId> AndersenAnalysis::allocSites(NodeId V) const {
 
 bool AndersenAnalysis::pointsTo(NodeId V, ir::AllocId A) const {
   assert(Solved && "query before solve()");
+  V = RepOf[V];
   return Rep == PtsRep::Dense ? DensePts[V].test(A) : Pts[V].test(A);
 }
 

@@ -18,7 +18,6 @@
 #include "pag/CallGraph.h"
 #include "pag/PAGBuilder.h"
 #include "support/BitVector.h"
-#include "support/FlatSet.h"
 
 #include <memory>
 #include <unordered_map>
@@ -50,15 +49,11 @@ public:
   std::vector<ir::AllocId> fieldAllocSites(ir::AllocId A,
                                            ir::FieldId F) const;
 
-  /// Number of solver propagation rounds performed (for tests/benches).
+  /// Number of node visits the solver made (for tests/benches).
   uint64_t propagationCount() const { return Propagations; }
 
 private:
   template <class SetVec> void solveSerial(SetVec &P);
-
-  /// Adds a dynamic copy edge Src -> Dst; returns true when new.
-  /// Membership is a hashed edge set, not a linear fan-out scan.
-  bool addCopy(uint32_t Src, uint32_t Dst);
 
   const pag::PAG &Graph;
   size_t NumAllocs;
@@ -68,13 +63,13 @@ private:
 
   /// Extended node space: variable nodes first, then one node per
   /// touched (object, field) pair, created on demand.  Exactly one of
-  /// Pts / DensePts is populated, selected by Rep.
-  std::vector<HybridPtsSet> Pts;               // by extended node
-  std::vector<BitVector> DensePts;             // Rep == Dense only
-  std::vector<std::vector<uint32_t>> CopySucc; // dynamic + static copies
-  FlatPairSet CopyEdges;                       // (src, dst) membership
+  /// Pts / DensePts is populated, selected by Rep.  A node merged into
+  /// a copy-graph cycle's representative keeps an empty set; after
+  /// solve() RepOf maps every node straight to the node holding its set.
+  std::vector<HybridPtsSet> Pts;                     // by extended node
+  std::vector<BitVector> DensePts;                   // Rep == Dense only
+  std::vector<uint32_t> RepOf;                       // by extended node
   std::unordered_map<uint64_t, uint32_t> FieldNodes; // (A,F) -> ext node
-  std::vector<std::pair<ir::AllocId, ir::FieldId>> FieldNodeKeys;
 };
 
 /// Virtual-dispatch resolver driven by Andersen points-to results: the

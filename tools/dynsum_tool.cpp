@@ -281,11 +281,7 @@ int runTool(int argc, char **argv) {
     Rta = std::make_unique<pag::RtaTargetResolver>(*Prog);
     Built = pag::buildPAG(*Prog, Rta.get());
   } else if (ResolverName == "andersen") {
-    pag::BuiltPAG Cha = pag::buildPAG(*Prog);
-    analysis::AndersenAnalysis Andersen(*Cha.Graph);
-    Andersen.solve();
-    analysis::AndersenTargetResolver Refined(Andersen, *Cha.Graph);
-    Built = pag::buildPAG(*Prog, &Refined);
+    Built = analysis::buildPAGWithAndersenCallGraph(*Prog);
   } else {
     errs() << "error: unknown resolver '" << ResolverName << "'\n";
     return usage();
