@@ -3,7 +3,8 @@
 /// \file
 /// google-benchmark microbenchmarks of the core machinery: PPTA
 /// summarization, DYNSUM queries (cold vs warm cache), REFINEPTS and
-/// NOREFINE queries, Andersen solving, and interned-stack operations —
+/// NOREFINE queries, Andersen solving, textual-IR parsing, and
+/// interned-stack operations —
 /// plus a traversal-throughput section (queries/sec over the generated
 /// workload) that lands in a BENCH_*.json file via --json=<file>.
 ///
@@ -15,6 +16,7 @@
 #include "analysis/RefinePts.h"
 #include "engine/QueryScheduler.h"
 #include "ir/Parser.h"
+#include "ir/Printer.h"
 #include "pag/PAGBuilder.h"
 #include "support/InternedStack.h"
 #include "support/Timer.h"
@@ -27,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 
 #if defined(__GLIBC__)
@@ -185,6 +188,40 @@ void BM_PAGBuild(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_PAGBuild);
+
+/// Parse throughput on the program perfbench parses (soot-c, generator
+/// seed 0) at scale range(0)/100.  bytes_per_second is the throughput
+/// (printed in MiB/s); s_per_MB is the time per 10^6 bytes, and it stays
+/// flat across the three scales when parsing costs the same per byte.
+void BM_ParseProgram(benchmark::State &State) {
+  static std::map<int64_t, std::string> Texts;
+  std::string &Text = Texts[State.range(0)];
+  if (Text.empty()) {
+    workload::GenOptions GO;
+    GO.Scale = double(State.range(0)) / 100;
+    GO.Seed = 0;
+    Text = ir::programToString(
+        *workload::generateProgram(workload::specByName("soot-c"), GO));
+  }
+  for (auto _ : State) {
+    ir::ParseResult R = ir::parseProgram(Text);
+    benchmark::DoNotOptimize(R.Prog.get());
+    State.PauseTiming(); // the program is freed outside the timed region
+    R = {};
+    State.ResumeTiming();
+  }
+  State.SetBytesProcessed(int64_t(State.iterations()) * int64_t(Text.size()));
+  State.counters["MB"] = double(Text.size()) / 1e6;
+  State.counters["s_per_MB"] = benchmark::Counter(
+      double(Text.size()) / 1e6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ParseProgram)
+    ->Arg(10)
+    ->Arg(50)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EngineBatch(benchmark::State &State) {
   // The generated query stream as one batch, sharded over range(0)

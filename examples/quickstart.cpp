@@ -39,9 +39,9 @@ int main() {
   B.alloc(Main, "h2", "Holder", "oh2");
   B.alloc(Main, "apple", "Apple", "oapple");
   B.alloc(Main, "banana", "Banana", "obanana");
-  B.call(Main, "", "put", {"h1", "apple"});
-  B.call(Main, "", "put", {"h2", "banana"});
-  B.call(Main, "x", "get", {"h1"}); // x should be the apple only
+  B.call(Main, "", Put, {"h1", "apple"});
+  B.call(Main, "", Put, {"h2", "banana"});
+  B.call(Main, "x", Get, {"h1"}); // x should be the apple only
   std::unique_ptr<ir::Program> Prog = B.takeProgram();
 
   // 2. Build the PAG (the graph every analysis consumes).

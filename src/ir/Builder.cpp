@@ -8,9 +8,6 @@
 #include "ir/Builder.h"
 
 #include "support/Debug.h"
-#include "support/Hashing.h"
-
-#include <cassert>
 
 using namespace dynsum;
 using namespace dynsum::ir;
@@ -21,26 +18,41 @@ std::unique_ptr<Program> ProgramBuilder::takeProgram() {
   return std::move(Prog);
 }
 
-TypeId ProgramBuilder::cls(std::string_view Name, std::string_view Super) {
+TypeId ProgramBuilder::cls(std::string_view Name, std::string_view Super,
+                           std::string *Error) {
   Symbol NameSym = Prog->name(Name);
-  TypeId Existing = Prog->findClass(NameSym);
-  if (Existing != kNone)
-    return Existing;
-  TypeId SuperId = kObjectType;
-  if (!Super.empty() && Super != "Object") {
-    Symbol SuperSym = Prog->name(Super);
-    SuperId = Prog->findClass(SuperSym);
-    if (SuperId == kNone)
-      SuperId = cls(Super);
+  TypeId SuperId = Super.empty() || Super == "Object" ? kObjectType
+                                                      : classNamed(Super);
+  TypeId T = Prog->findClass(NameSym);
+  if (T == kNone)
+    T = Prog->createClass(NameSym, SuperId);
+  else if (SuperId != (T == kObjectType ? kObjectType
+                                        : Prog->classOf(T).Super)) {
+    std::string Problem;
+    if (T < Declared.size() && Declared[T])
+      Problem = "' redeclared with another superclass";
+    else if (Prog->isSubtypeOf(SuperId, T))
+      Problem = "' cannot extend '" + std::string(Super) +
+                "': inheritance cycle";
+    if (!Problem.empty()) {
+      Problem = "class '" + std::string(Name) + Problem;
+      if (!Error)
+        fatalError(Problem.c_str());
+      *Error = std::move(Problem);
+      return kNone;
+    }
+    Prog->setSuper(T, SuperId);
   }
-  return Prog->createClass(NameSym, SuperId);
+  if (T >= Declared.size())
+    Declared.resize(T + 1);
+  Declared[T] = true;
+  return T;
 }
 
-TypeId ProgramBuilder::typeOf(std::string_view Name) const {
-  TypeId T = Prog->findClass(Prog->names().lookup(Name));
-  if (T == kNone)
-    fatalError("unknown class referenced in builder");
-  return T;
+TypeId ProgramBuilder::classNamed(std::string_view Name) {
+  Symbol NameSym = Prog->name(Name);
+  TypeId T = Prog->findClass(NameSym);
+  return T != kNone ? T : Prog->createClass(NameSym, kObjectType);
 }
 
 TypeId ProgramBuilder::typeOrObject(std::string_view Name) const {
@@ -54,14 +66,13 @@ FieldId ProgramBuilder::field(std::string_view Name) {
   return Prog->getOrCreateField(Prog->name(Name));
 }
 
-MethodId ProgramBuilder::method(
-    std::string_view QualifiedName,
-    const std::vector<std::pair<std::string, std::string>> &Params) {
+MethodId ProgramBuilder::method(std::string_view QualifiedName,
+                                const ParamList &Params) {
   size_t Dot = QualifiedName.find('.');
   TypeId Owner = kNone;
   std::string_view MethodName = QualifiedName;
   if (Dot != std::string_view::npos) {
-    Owner = cls(QualifiedName.substr(0, Dot));
+    Owner = classNamed(QualifiedName.substr(0, Dot));
     MethodName = QualifiedName.substr(Dot + 1);
   }
   MethodId M = Prog->createMethod(Prog->name(MethodName), Owner);
@@ -76,23 +87,43 @@ MethodId ProgramBuilder::method(
 
 VarId ProgramBuilder::global(std::string_view Name, std::string_view Type) {
   Symbol NameSym = Prog->name(Name);
-  VarId Existing = Prog->findGlobal(NameSym);
-  if (Existing != kNone)
-    return Existing;
-  return Prog->createGlobal(NameSym, typeOrObject(Type));
+  VarId V = Prog->findGlobal(NameSym);
+  if (V == kNone)
+    V = Prog->createGlobal(NameSym, typeOrObject(Type));
+  if (NameSym.Id >= Slots.size())
+    Slots.resize(NameSym.Id + 1);
+  Slots[NameSym.Id] = {kGlobalScope, V};
+  return V;
+}
+
+void ProgramBuilder::enterScope(MethodId M) {
+  Scope = M;
+  if (M >= LastLocal.size())
+    return; // no locals yet
+  for (VarId V = LastLocal[M]; V != kNone; V = PrevLocal[V]) {
+    NameSlot &S = Slots[Prog->variable(V).Name.Id];
+    if (S.Scope != kGlobalScope)
+      S = {M, V};
+  }
 }
 
 VarId ProgramBuilder::var(MethodId M, std::string_view Name) {
   Symbol NameSym = Prog->name(Name);
-  VarId Global = Prog->findGlobal(NameSym);
-  if (Global != kNone)
-    return Global;
-  uint64_t Key = packPair(M, NameSym.Id);
-  auto It = Locals.find(Key);
-  if (It != Locals.end())
-    return It->second;
+  if (M != Scope)
+    enterScope(M);
+  if (NameSym.Id >= Slots.size())
+    Slots.resize(NameSym.Id + 1);
+  NameSlot &S = Slots[NameSym.Id];
+  if (S.Scope == M || S.Scope == kGlobalScope)
+    return S.Var;
   VarId V = Prog->createLocal(NameSym, M, kObjectType);
-  Locals.emplace(Key, V);
+  if (M >= LastLocal.size())
+    LastLocal.resize(M + 1, kNone);
+  if (V >= PrevLocal.size())
+    PrevLocal.resize(V + 1, kNone);
+  PrevLocal[V] = LastLocal[M];
+  LastLocal[M] = V;
+  S = {M, V};
   return V;
 }
 
@@ -104,7 +135,7 @@ void ProgramBuilder::declareLocal(MethodId M, std::string_view Name,
 
 AllocId ProgramBuilder::alloc(MethodId M, std::string_view Dst,
                               std::string_view Type, std::string_view Label) {
-  TypeId T = cls(Type);
+  TypeId T = classNamed(Type);
   Symbol LabelSym = Label.empty() ? Symbol{} : Prog->name(Label);
   AllocId A = Prog->createAllocSite(T, M, LabelSym);
   Statement S;
@@ -135,7 +166,7 @@ void ProgramBuilder::assign(MethodId M, std::string_view Dst,
 
 CastSiteId ProgramBuilder::cast(MethodId M, std::string_view Dst,
                                 std::string_view Type, std::string_view Src) {
-  TypeId T = cls(Type);
+  TypeId T = classNamed(Type);
   Statement S;
   S.Kind = StmtKind::Cast;
   S.Dst = var(M, Dst);
@@ -168,30 +199,16 @@ void ProgramBuilder::store(MethodId M, std::string_view Base,
 }
 
 CallSiteId ProgramBuilder::call(MethodId M, std::string_view Dst,
-                                std::string_view CalleeQualifiedName,
-                                const std::vector<std::string> &Args,
+                                MethodId Callee,
+                                const std::vector<std::string_view> &Args,
                                 uint32_t Label) {
-  size_t Dot = CalleeQualifiedName.find('.');
-  MethodId Callee = kNone;
-  if (Dot != std::string_view::npos) {
-    TypeId Owner =
-        Prog->findClass(Prog->names().lookup(CalleeQualifiedName.substr(0, Dot)));
-    if (Owner == kNone)
-      fatalError("direct call to method of unknown class");
-    Callee = Prog->findMethod(
-        Owner, Prog->names().lookup(CalleeQualifiedName.substr(Dot + 1)));
-  } else {
-    Callee =
-        Prog->findFreeMethod(Prog->names().lookup(CalleeQualifiedName));
-  }
-  if (Callee == kNone)
-    fatalError("direct call to undeclared method");
   Statement S;
   S.Kind = StmtKind::Call;
   S.Dst = Dst.empty() ? kNone : var(M, Dst);
   S.Callee = Callee;
   S.Call = Prog->createCallSite(M, Label);
-  for (const std::string &Arg : Args)
+  S.Args.reserve(Args.size());
+  for (std::string_view Arg : Args)
     S.Args.push_back(var(M, Arg));
   CallSiteId Id = S.Call;
   Prog->addStatement(M, std::move(S));
@@ -201,7 +218,7 @@ CallSiteId ProgramBuilder::call(MethodId M, std::string_view Dst,
 CallSiteId ProgramBuilder::vcall(MethodId M, std::string_view Dst,
                                  std::string_view Recv,
                                  std::string_view MethodName,
-                                 const std::vector<std::string> &Args,
+                                 const std::vector<std::string_view> &Args,
                                  uint32_t Label) {
   Statement S;
   S.Kind = StmtKind::Call;
@@ -210,8 +227,9 @@ CallSiteId ProgramBuilder::vcall(MethodId M, std::string_view Dst,
   S.Base = var(M, Recv);
   S.VirtualName = Prog->name(MethodName);
   S.Call = Prog->createCallSite(M, Label);
+  S.Args.reserve(Args.size() + 1);
   S.Args.push_back(S.Base); // receiver is the first argument
-  for (const std::string &Arg : Args)
+  for (std::string_view Arg : Args)
     S.Args.push_back(var(M, Arg));
   CallSiteId Id = S.Call;
   Prog->addStatement(M, std::move(S));

@@ -23,6 +23,8 @@
 ///              | [IDENT "="] "vcall" ["@" NUM] IDENT "." IDENT "(" args ")"
 ///              | "return" IDENT
 ///
+/// A call label NUM is at most 4294967294 (2^32 - 2).
+///
 /// Example (the paper's Figure 2 program ships in tests/ and examples/).
 ///
 //===----------------------------------------------------------------------===//
@@ -48,9 +50,10 @@ struct ParseResult {
   bool ok() const { return Error.empty(); }
 };
 
-/// Parses \p Source into a Program.  All class and method declarations
-/// are processed in a first pass so calls may reference methods declared
-/// later in the file.
+/// Parses \p Source into a Program.  Classes and globals are declared
+/// before any method signature, and every signature before any body, so
+/// a name may be used above the line that declares it.  The program
+/// keeps no reference to \p Source.
 ParseResult parseProgram(std::string_view Source);
 
 } // namespace ir

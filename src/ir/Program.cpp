@@ -42,14 +42,20 @@ TypeId Program::createClass(Symbol ClassName, TypeId Super) {
 }
 
 FieldId Program::getOrCreateField(Symbol FieldName) {
-  for (const Field &F : Fields)
-    if (F.Name == FieldName)
-      return F.Id;
-  Field F;
-  F.Name = FieldName;
-  F.Id = FieldId(Fields.size());
-  Fields.push_back(F);
-  return F.Id;
+  auto [It, IsNew] =
+      FieldByName.emplace(FieldName.Id, FieldId(Fields.size()));
+  if (IsNew)
+    Fields.push_back(Field{FieldName, It->second});
+  return It->second;
+}
+
+void Program::setSuper(TypeId Class, TypeId Super) {
+  assert(!isSubtypeOf(Super, Class) && "inheritance cycle");
+  std::vector<TypeId> &OldSubs = Classes[Classes[Class].Super].Subclasses;
+  OldSubs.erase(std::find(OldSubs.begin(), OldSubs.end(), Class));
+  Classes[Super].Subclasses.push_back(Class);
+  Classes[Class].Super = Super;
+  ++StructureVersion;
 }
 
 MethodId Program::createMethod(Symbol MethodName, TypeId Owner) {

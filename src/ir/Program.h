@@ -162,6 +162,10 @@ public:
   /// Returns the field with \p FieldName, creating it on first use.
   FieldId getOrCreateField(Symbol FieldName);
 
+  /// Moves class \p Class under \p Super.  \p Super must not be \p Class
+  /// or one of its subclasses.
+  void setSuper(TypeId Class, TypeId Super);
+
   /// Creates a method named \p MethodName in class \p Owner (kNone for a
   /// free/static method).
   MethodId createMethod(Symbol MethodName, TypeId Owner);
@@ -330,6 +334,7 @@ private:
   /// reference by name).  First declaration wins, matching the linear
   /// scans these replaced.
   std::unordered_map<uint32_t, TypeId> ClassByName;     // Symbol.Id
+  std::unordered_map<uint32_t, FieldId> FieldByName;    // Symbol.Id
   std::unordered_map<uint32_t, VarId> GlobalByName;     // Symbol.Id
   std::unordered_map<uint32_t, MethodId> FreeMethodByName; // Symbol.Id
   std::unordered_map<uint64_t, MethodId> MethodByOwnerName; // Owner<<32|Name

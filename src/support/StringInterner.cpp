@@ -18,23 +18,18 @@ StringInterner::StringInterner() {
 }
 
 Symbol StringInterner::intern(std::string_view Text) {
-  auto It = Ids.find(std::string(Text));
+  auto It = Ids.find(Text);
   if (It != Ids.end())
     return Symbol{It->second};
   uint32_t Id = uint32_t(Texts.size());
-  auto [Inserted, IsNew] = Ids.emplace(std::string(Text), Id);
-  (void)IsNew;
-  // std::unordered_map keys have stable addresses; keep a view to avoid a
-  // second copy of every name.
-  Texts.push_back(Inserted->first);
+  Texts.push_back(Storage.emplace_back(Text));
+  Ids.emplace(Texts.back(), Id);
   return Symbol{Id};
 }
 
 Symbol StringInterner::lookup(std::string_view Text) const {
-  auto It = Ids.find(std::string(Text));
-  if (It == Ids.end())
-    return Symbol{0};
-  return Symbol{It->second};
+  auto It = Ids.find(Text);
+  return Symbol{It == Ids.end() ? 0 : It->second};
 }
 
 std::string_view StringInterner::text(Symbol Sym) const {

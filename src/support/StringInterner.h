@@ -13,6 +13,7 @@
 #define DYNSUM_SUPPORT_STRINGINTERNER_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -31,12 +32,18 @@ struct Symbol {
   friend bool operator<(Symbol A, Symbol B) { return A.Id < B.Id; }
 };
 
-/// Bidirectional string <-> Symbol table.
+/// Bidirectional string <-> Symbol table.  Texts live in storage the
+/// interner owns, so it cannot be copied: a copy's views would point
+/// into the original.
 class StringInterner {
 public:
   StringInterner();
+  StringInterner(const StringInterner &) = delete;
+  StringInterner &operator=(const StringInterner &) = delete;
 
   /// Returns the unique symbol for \p Text, creating it on first use.
+  /// A hit hashes \p Text once and allocates nothing; only a new text is
+  /// copied.
   Symbol intern(std::string_view Text);
 
   /// Returns the symbol for \p Text, or the empty symbol when \p Text has
@@ -50,8 +57,9 @@ public:
   size_t size() const { return Texts.size(); }
 
 private:
-  std::unordered_map<std::string, uint32_t> Ids;
-  std::vector<std::string_view> Texts; // views into Ids' stable keys
+  std::deque<std::string> Storage; // never moves an element it holds
+  std::unordered_map<std::string_view, uint32_t> Ids; // keys view Storage
+  std::vector<std::string_view> Texts; // by symbol id, views into Storage
 };
 
 } // namespace dynsum

@@ -268,7 +268,7 @@ private:
     for (size_t D = 0; D < Depth; ++D) {
       std::string Next = Fresh();
       size_t Mixer = FirstMixer + R.nextBelow(P.NumMixers);
-      B.call(M, Next, qualifiedName(Mixer), {Cur, Cur});
+      B.call(M, Next, MethodOrder[Mixer], {Cur, Cur});
       Cur = Next;
     }
     return Cur;
@@ -283,7 +283,7 @@ private:
       if (I > FirstFactory && R.nextBool(0.4)) {
         size_t Delegate =
             FirstFactory + R.nextBelow(I - FirstFactory);
-        B.call(M, "o", qualifiedName(Delegate), {"p"});
+        B.call(M, "o", MethodOrder[Delegate], {"p"});
         B.ret(M, "o");
         continue;
       }
@@ -301,8 +301,8 @@ private:
         // non-delegating factories.
         size_t Half = std::max<size_t>(1, P.NumContainerMethods / 4);
         size_t Pair = Half + (I * 7 + 3) % Half;
-        B.call(M, "", nameOf("boxput", Pair), {"fb", "o"});
-        B.call(M, "o2", nameOf("boxget", Pair), {"fb"});
+        B.call(M, "", boxPut(Pair), {"fb", "o"});
+        B.call(M, "o2", boxGet(Pair), {"fb"});
         B.ret(M, "o2");
       } else {
         B.ret(M, "o");
@@ -379,7 +379,7 @@ private:
     // scales where the probabilistic self-calls may not fire.
     if (Rank == FirstOrdinary) {
       std::string SelfR = Fresh();
-      B.call(M, SelfR, qualifiedName(Rank), {"p1", "p2"});
+      B.call(M, SelfR, MethodOrder[Rank], {"p1", "p2"});
       Vals.push_back(SelfR);
     }
 
@@ -425,9 +425,9 @@ private:
     if (R.nextBool(0.6)) {
       size_t Half = std::max<size_t>(1, P.NumContainerMethods / 4);
       size_t Pair = Half + R.nextBelow(Half);
-      B.call(M, "", nameOf("boxput", Pair), {"box", Pick()});
+      B.call(M, "", boxPut(Pair), {"box", Pick()});
       std::string BoxVal = Fresh();
-      B.call(M, BoxVal, nameOf("boxget", Pair), {"box"});
+      B.call(M, BoxVal, boxGet(Pair), {"box"});
       Vals.push_back(BoxVal);
     }
 
@@ -450,7 +450,7 @@ private:
       // judgments then traverse the diamond region too.
       std::string Arg =
           R.nextBool(0.5) ? mixerChain(M, Pick(), Fresh) : Pick();
-      B.call(M, Dst, qualifiedName(Factory), {Arg});
+      B.call(M, Dst, MethodOrder[Factory], {Arg});
       Vals.push_back(Dst);
     }
     for (size_t G = 0; G < Globals; ++G) {
@@ -484,9 +484,9 @@ private:
         // refinement pays off.
         size_t Half = std::max<size_t>(1, P.NumContainerMethods / 4);
         size_t Pair = seedFromName(Cls, 17) % Half;
-        B.call(M, "", nameOf("boxput", Pair), {CastBox, Mixed});
+        B.call(M, "", boxPut(Pair), {CastBox, Mixed});
         std::string Loaded = Fresh();
-        B.call(M, Loaded, nameOf("boxget", Pair), {CastBox});
+        B.call(M, Loaded, boxGet(Pair), {CastBox});
         B.cast(M, Dst, Cls, Loaded);
       } else {
         B.cast(M, Dst, nameOf("C", R.nextBelow(P.NumClasses)), Pick());
@@ -496,14 +496,9 @@ private:
     B.ret(M, Pick());
   }
 
-  std::string qualifiedName(size_t Rank) {
-    const Program &Prog = B.program();
-    const Method &M = Prog.method(MethodOrder[Rank]);
-    if (M.Owner == kNone)
-      return std::string(Prog.names().text(M.Name));
-    return std::string(Prog.names().text(Prog.classOf(M.Owner).Name)) + "." +
-           std::string(Prog.names().text(M.Name));
-  }
+  /// The container pair K: boxputK and boxgetK, declared side by side.
+  MethodId boxPut(size_t Pair) const { return MethodOrder[2 * Pair]; }
+  MethodId boxGet(size_t Pair) const { return MethodOrder[2 * Pair + 1]; }
 
   void emitDirectCall(MethodId Caller, size_t CalleeRank,
                       std::vector<std::string> &Vals,
@@ -516,13 +511,13 @@ private:
       emitVirtualCall(Caller, Vals, Dst);
       return;
     }
-    std::vector<std::string> Args;
+    std::vector<std::string_view> Args;
     for (size_t I = 0; I < Callee.Params.size(); ++I)
       Args.push_back(R.pick(Vals));
     // boxput/boxget expect a Box receiver argument first.
     if (!Args.empty() && startsWith(Prog.names().text(Callee.Name), "box"))
       Args[0] = "box";
-    B.call(Caller, Dst, qualifiedName(CalleeRank), Args);
+    B.call(Caller, Dst, MethodOrder[CalleeRank], Args);
     Vals.push_back(Dst);
   }
 

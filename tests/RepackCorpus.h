@@ -80,8 +80,7 @@ inline std::unique_ptr<ir::Program> buildRepackCorpusProgram() {
       B.assign(M, "c" + S, "g");
     // Call ring: entry edges into the next method's formal, exit edges
     // back into this method's result.
-    B.call(M, "d" + S, "m" + std::to_string((I + 1) % kRepackMethods),
-           {"a" + S});
+    B.call(M, "d" + S, Ms[(I + 1) % kRepackMethods], {"a" + S});
     B.ret(M, "b" + S);
   }
   return B.takeProgram();
