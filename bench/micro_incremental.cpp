@@ -5,13 +5,11 @@
 /// motivates ("software may undergo a lot of changes", Section 5.3).
 ///
 /// A warm EditSession absorbs a stream of method edits; after each
-/// commit the full query batch re-runs.  Rows compare invalidation
-/// policies:
+/// commit the full query batch re-runs.  Two rows:
 ///
 ///   from-scratch  a fresh DYNSUM instance per cycle (no reuse at all)
-///   clear-all     one instance, cache dropped on every commit
-///   per-method    summaries survive except for edited/boundary-changed
-///                 methods (EditSession's default)
+///   per-method    one EditSession: summaries survive except for
+///                 edited/boundary-changed methods
 ///
 /// The per-method row should approach the no-edit steady state: each
 /// edit invalidates a handful of methods, so most of each re-query runs
@@ -98,8 +96,7 @@ int main(int argc, char **argv) {
   {
     auto P = generateProgram(Spec, Gen);
     std::vector<ir::VarId> Queries = pickQueries(*P, 61);
-    EditSession S(std::move(P), Opts.analysisOptions(),
-                  InvalidationPolicy::ClearAll);
+    EditSession S(std::move(P), Opts.analysisOptions());
     CycleTotals Totals;
     Timer Clock;
     for (unsigned I = 0; I < Cycles; ++I) {
@@ -119,12 +116,11 @@ int main(int argc, char **argv) {
         .cell("-");
   }
 
-  // --- the two EditSession policies ------------------------------------
-  for (InvalidationPolicy Policy :
-       {InvalidationPolicy::ClearAll, InvalidationPolicy::PerMethod}) {
+  // --- per-method invalidation -----------------------------------------
+  {
     auto P = generateProgram(Spec, Gen);
     std::vector<ir::VarId> Queries = pickQueries(*P, 61);
-    EditSession S(std::move(P), Opts.analysisOptions(), Policy);
+    EditSession S(std::move(P), Opts.analysisOptions());
     for (ir::VarId V : Queries)
       S.queryVar(V); // warm start
 
@@ -139,8 +135,7 @@ int main(int argc, char **argv) {
     }
     Totals.Seconds = Clock.seconds();
     T.row()
-        .cell(Policy == InvalidationPolicy::ClearAll ? "clear-all"
-                                                     : "per-method")
+        .cell("per-method")
         .cell(Totals.Steps / Cycles)
         .cell(Totals.Seconds / Cycles, 4)
         .cell(Totals.Dropped / Cycles)
@@ -148,8 +143,7 @@ int main(int argc, char **argv) {
   }
 
   T.print(outs());
-  outs() << "\nper-method should re-traverse far less than clear-all; both\n"
-            "beat from-scratch, which also pays per-cycle PAG rebuild and\n"
-            "cold caches.\n";
+  outs() << "\nper-method should re-traverse far less than from-scratch,\n"
+            "which also starts every cycle from cold caches.\n";
   return 0;
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Loopback smoke for dynsum_serverd: start the server with two tenants,
+# Loopback smoke for dynsum_serverd: check that out-of-range numeric
+# flags exit 2 without listening, start the server with two tenants,
 # drive both through edit/query/commit over real sockets (asserting
-# per-tenant isolation and the one-error overflow contract on the way),
-# SIGTERM it mid-run, and assert the graceful drain snapshotted every
-# tenant — then restart over the same snapshot directory and assert the
-# un-edited tenant answers its first batch warm from the disk tier.
+# per-tenant isolation, the one-error overflow contract and the refused
+# save verb on the way), SIGTERM it mid-run, and assert the graceful
+# drain snapshotted every tenant — then restart over the same snapshot
+# directory and assert the un-edited tenant answers its first batch
+# warm from the disk tier.
 # (The edited tenant's snapshot is fingerprinted against its COMMITTED
 # program, so a restart over the original source intentionally refuses
 # the stale warm attach — that refusal is correctness, not a failure.)
@@ -89,6 +91,22 @@ sys.exit(failed)
 PYEOF
 }
 
+# --- Out-of-range numeric flags: usage error, never wrapped or clamped --
+# (a wrapped --port=70000 would listen on 4464; a clamped
+# --max-connections=-1 would mean "unlimited").  The timeout only
+# bounds a server that wrongly starts.
+for FLAG in --port=70000 --max-connections=-1; do
+  rm -f "$WORK/port"
+  timeout 10 "$SERVERD" --tenant=alpha="$IR" "$FLAG" \
+    --port-file="$WORK/port" >"$WORK/server.log" 2>&1
+  RC=$?
+  if [ "$RC" -ne 2 ] || [ -e "$WORK/port" ]; then
+    echo "FAIL: $FLAG exited $RC (want 2) or wrote a port file:" >&2
+    cat "$WORK/server.log" >&2
+    exit 1
+  fi
+done
+
 # --- Round 1: two tenants, edits in alpha only, isolation in beta ------
 start_server --tenant=alpha="$IR" --tenant=beta="$IR"
 
@@ -102,8 +120,13 @@ printf '%s\n' \
   $'query Main.main.s1\ts1@serve:String' \
   "query $(printf 'x%.0s' $(seq 1 5000))	error: line exceeds" \
   $'query Main.main.s1\ts1@serve:String' \
+  "save $WORK/stolen.dsum	error: save is not served" \
   $'quit\tbye' \
   | drive "$PORT" || { echo "FAIL: alpha session" >&2; exit 1; }
+if [ -e "$WORK/stolen.dsum" ]; then
+  echo "FAIL: a socket client made the server write a file" >&2
+  exit 1
+fi
 
 printf '%s\n' \
   $'tenant beta\ttenant beta bound' \

@@ -250,10 +250,9 @@ void TieredSummaryStore::clear() {
     St.C.Invalidated.fetch_add(St.size(), std::memory_order_relaxed);
     St.clear();
   }
-  // A clear means the generation lineage branched (rollback) or the
-  // policy wants a cold store (ClearAll): the attach-time snapshot's
-  // "never invalidated since attach" bookkeeping cannot survive either,
-  // so the disk tier goes too.
+  // A clear means the generation lineage branched (rollback): the
+  // attach-time snapshot's "never invalidated since attach" bookkeeping
+  // cannot survive that, so the disk tier goes too.
   std::shared_ptr<DiskTier> None;
   HasDisk.store(false, std::memory_order_relaxed);
   std::atomic_store(&Disk, None);

@@ -46,9 +46,9 @@
 /// beginGeneration accumulates the plan's methods into an invalidated
 /// set.  A disk record whose key node's method was EVER invalidated
 /// since attach is refused — exactly the summaries a resident hot
-/// entry would have been dropped for — and clear() (rollback, ClearAll
-/// policy) detaches the tier entirely, since its lineage assumption is
-/// gone.  Nodes created after attach skip the disk probe.
+/// entry would have been dropped for — and clear() (rollback) detaches
+/// the tier entirely, since its lineage assumption is gone.  Nodes
+/// created after attach skip the disk probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,8 +116,8 @@ public:
   size_t size() const;
 
   /// Drops every hot summary, detaches the disk tier (its lineage
-  /// assumption no longer holds after a clear-all or rollback), and
-  /// bumps the generation.
+  /// assumption no longer holds after a rollback), and bumps the
+  /// generation.
   void clear();
 
   /// Publishes every summary cached in \p A into the current generation

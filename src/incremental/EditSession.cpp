@@ -17,9 +17,8 @@ using namespace dynsum::incremental;
 using analysis::QueryResult;
 
 EditSession::EditSession(std::unique_ptr<ir::Program> P,
-                         const analysis::AnalysisOptions &Opts,
-                         InvalidationPolicy Policy)
-    : Prog(std::move(P)), Graph(*Prog), DynSum(Graph, Opts), Policy(Policy) {
+                         const analysis::AnalysisOptions &Opts)
+    : Prog(std::move(P)), Graph(*Prog), DynSum(Graph, Opts) {
   pag::buildPAGDelta(Graph, Calls); // first build: lowers everything
   CommittedClock = Prog->modClock();
 }
@@ -60,7 +59,7 @@ CommitStats EditSession::commit() {
   // mutates them away.
   const bool Carried = BoundaryValid;
   BoundaryValid = false;
-  if (!Carried && Policy == InvalidationPolicy::PerMethod)
+  if (!Carried)
     Boundary = snapshotBoundary(Graph);
   pag::DeltaStats Delta = pag::buildPAGDelta(Graph, Calls);
   Stats.MethodsRelowered = Delta.Relowered.size();
@@ -68,20 +67,6 @@ CommitStats EditSession::commit() {
   Stats.LowerSeconds = Delta.LowerSeconds;
   Stats.ApplySeconds = Delta.ApplySeconds;
   Stats.RepackSeconds = Delta.RepackSeconds;
-
-  if (Policy == InvalidationPolicy::ClearAll) {
-    // No diff runs under this policy, so nothing carries forward.
-    DynSum.clearCache();
-    DynSum.clearTrivialMemo();
-    Stats.SummariesDropped = Stats.SummariesBefore;
-    if (Store) {
-      Stats.SharedSummariesDropped = Store->size();
-      Store->clear(); // bumps the store generation
-    }
-    CommittedClock = Prog->modClock();
-    LastCommit = Stats;
-    return Stats;
-  }
 
   InvalidationPlan Plan =
       planCommitInvalidation(Boundary, Carried, Graph, Delta.Touched);

@@ -62,12 +62,6 @@ using SharedSummaryStore = TieredSummaryStore;
 
 namespace incremental {
 
-/// What commit() drops from the summary cache.
-enum class InvalidationPolicy : uint8_t {
-  ClearAll,  ///< baseline: drop everything on every commit
-  PerMethod, ///< drop edited + boundary-changed methods only
-};
-
 /// How a commit ended.  Everything except Committed/NoOp leaves the
 /// generation chain and the summary store exactly as they were: the
 /// edits stay buffered and a later commit (after the bad edit is fixed
@@ -135,8 +129,7 @@ class EditSession {
 public:
   /// Takes ownership of \p P.  The initial build is performed eagerly.
   EditSession(std::unique_ptr<ir::Program> P,
-              const analysis::AnalysisOptions &Opts,
-              InvalidationPolicy Policy = InvalidationPolicy::PerMethod);
+              const analysis::AnalysisOptions &Opts);
 
   ir::Program &program() { return *Prog; }
   const ir::Program &program() const { return *Prog; }
@@ -173,9 +166,9 @@ public:
   bool dirty() const;
 
   /// Applies pending edits: patches the PAG in place (delta build —
-  /// only edited methods re-lower, node ids stay stable) and
-  /// invalidates summaries (private cache and attached store) per the
-  /// session policy.  No-op when clean.
+  /// only edited methods re-lower, node ids stay stable) and drops the
+  /// summaries the edit invalidates from the private cache and the
+  /// attached store.  No-op when clean.
   CommitStats commit();
 
   /// Statistics of the most recent non-trivial commit.
@@ -193,7 +186,6 @@ private:
   pag::PAG Graph;
   pag::CallGraph Calls;
   analysis::DynSumAnalysis DynSum;
-  InvalidationPolicy Policy;
   engine::SharedSummaryStore *Store = nullptr;
 
   /// Program edit clock at the last commit; the program names the
@@ -203,8 +195,7 @@ private:
 
   /// Post-commit boundary flags carried forward from the invalidation
   /// diff so the next commit skips the full pre-edit node sweep.
-  /// Empty until the first per-method commit; a ClearAll commit leaves
-  /// it invalid (the diff never runs under that policy).
+  /// Empty until the first commit.
   BoundarySnapshot Boundary;
   bool BoundaryValid = false;
 };

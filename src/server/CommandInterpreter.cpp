@@ -13,6 +13,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -186,7 +187,7 @@ private:
 
 } // namespace
 
-void CommandInterpreter::printHelp(OStream &Out) {
+void CommandInterpreter::printHelp(OStream &Out, bool WithFiles) {
   Out << "commands:\n"
          "  query <m.var>...        batched points-to queries (current "
          "generation)\n"
@@ -210,10 +211,11 @@ void CommandInterpreter::printHelp(OStream &Out) {
          "vars, retained bytes)\n"
          "  rollback <generation>   republish a retained snapshot (O(1); "
          "later edits\n"
-         "                          become pending again)\n"
-         "  save <path> | load <path>      persist / warm-start "
-         "summaries\n"
-         "  deadline <ms>           per-query wall-clock deadline for "
+         "                          become pending again)\n";
+  if (WithFiles)
+    Out << "  save <path> | load <path>      persist / warm-start "
+           "summaries\n";
+  Out << "  deadline <ms>           per-query wall-clock deadline for "
          "later queries\n"
          "                          (0 turns it off; overrun queries "
          "report (timeout)\n"
@@ -406,10 +408,6 @@ CommandStatus CommandInterpreter::runStats(OStream &Out) {
         << " probes hit, " << SS.Store.Promoted << " promoted, "
         << SS.Store.DiskStale << " stale, " << SS.Store.DiskCorrupt
         << " corrupt records\n";
-  if (SS.WarmRuns > 0)
-    Out << "presummarize: " << SS.WarmRuns << " warm passes, "
-        << SS.WarmQueries << " vars warmed, " << SS.WarmSummariesComputed
-        << " summaries computed\n";
   if (SS.Commits > 0) {
     Out << "last commit ";
     Out.writeFixed(SS.LastCommitSeconds * 1e3, 2);
@@ -453,7 +451,6 @@ CommandStatus CommandInterpreter::execute(const std::string &Line,
     return runCommit(W, Out, Err);
   if (Cmd == "wait" && W.size() == 1) {
     S.waitForCommits();
-    S.waitForWarm(); // immediate unless Presummarize
     Out << "generation " << S.generation() << " (async queue drained)\n";
     return CommandStatus::Ok;
   }
@@ -490,7 +487,7 @@ CommandStatus CommandInterpreter::execute(const std::string &Line,
   if (Cmd == "deadline" && W.size() == 2) {
     char *End = nullptr;
     double Ms = std::strtod(W[1].c_str(), &End);
-    if (End == W[1].c_str() || *End != '\0' || Ms < 0) {
+    if (End == W[1].c_str() || *End != '\0' || !std::isfinite(Ms) || Ms < 0) {
       Err << "error: deadline wants a millisecond count, got '" << W[1]
           << "'\n";
       return CommandStatus::Error;

@@ -112,8 +112,9 @@ public:
   /// stream for both).  An empty/blank line is Ok with no output.
   CommandStatus execute(const std::string &Line, OStream &Out, OStream &Err);
 
-  /// The command reference ("help").
-  static void printHelp(OStream &Out);
+  /// The command reference ("help").  \p WithFiles lists save/load,
+  /// which only the stdin REPL serves.
+  static void printHelp(OStream &Out, bool WithFiles = true);
 
   /// Current per-session query deadline (0 = unlimited).
   double deadlineMs() const { return DeadlineMs; }

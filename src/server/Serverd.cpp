@@ -105,10 +105,9 @@ private:
 } // namespace
 
 AnalysisServer::AnalysisServer(ServerOptions O) : Opts(std::move(O)) {
-  // ONE pool shared by every tenant's commit pipeline and warm passes:
-  // WorkerPool::run() is internally serialized, so tenants' phases
-  // interleave on the same threads instead of each tenant parking its
-  // own idle pool.
+  // ONE pool shared by every tenant's commit pipeline: WorkerPool::run()
+  // is internally serialized, so tenants' phases interleave on the same
+  // threads instead of each tenant parking its own idle pool.
   CommitCtx = Opts.CommitThreads > 1
                   ? support::ExecContext::pooled(Opts.CommitThreads)
                   : support::ExecContext(Opts.CommitThreads);
@@ -128,7 +127,6 @@ bool AnalysisServer::addTenant(const std::string &Name,
   SO.Commit = CommitCtx;
   SO.KeepGenerations = Opts.KeepGenerations;
   SO.StoreStripes = Opts.StoreStripes;
-  SO.Presummarize = Opts.Presummarize;
   SO.Overload = Opts.Overload;
   if (!Opts.SnapshotDir.empty()) {
     std::string Snapshot = Opts.SnapshotDir + "/" + Name + ".dsum";
@@ -359,10 +357,16 @@ void AnalysisServer::handleConnection(Connection &C) {
         Out << "tenant " << T->Name << " bound (generation "
             << T->Service->generation() << ")\n";
       }
-    } else if (W[0] == "help" && !Bound) {
+    } else if (W[0] == "save" || W[0] == "load") {
+      // The REPL's persistence verbs take a path from the client; over
+      // the socket that would let any loopback client write or read any
+      // file the server can.
+      Out << "error: " << W[0] << " is not served; tenants persist through "
+          << "--snapshot-dir on drain\n";
+    } else if (W[0] == "help") {
       Out << "server verbs: tenant <name> (bind), tenants, quit\n"
              "after binding a tenant:\n";
-      CommandInterpreter::printHelp(Out);
+      CommandInterpreter::printHelp(Out, /*WithFiles=*/false);
     } else if (!Bound) {
       Out << "error: no tenant bound (use \"tenant <name>\")\n";
     } else {

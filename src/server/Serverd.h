@@ -15,13 +15,15 @@
 ///
 /// Protocol (newline-delimited, one reply block per request line):
 /// a client connects, reads the greeting block, sends "tenant <name>"
-/// to bind the session, then speaks the exact REPL grammar the
-/// shared CommandInterpreter implements (query/alloc/assign/touch/
-/// commit/wait/generations/rollback/deadline/save/load/stats/help).
-/// Every reply block — greeting included — is terminated by a line
-/// containing a single "."; error lines start with "error:".  Server
-/// verbs that need no bound tenant: "tenant <name>", "tenants",
-/// "help", "quit".
+/// to bind the session, then speaks the REPL grammar the shared
+/// CommandInterpreter implements (query/alloc/assign/touch/commit/wait/
+/// generations/rollback/deadline/stats/help).  Every reply block —
+/// greeting included — is terminated by a line containing a single
+/// "."; error lines start with "error:".  Server verbs that need no
+/// bound tenant: "tenant <name>", "tenants", "help", "quit".  The
+/// REPL's "save <path>" and "load <path>" are refused with one error
+/// line: a socket client must not name files on the server's disk, and
+/// tenants persist through SnapshotDir on drain instead.
 ///
 /// Admission control is two-layer: a global connection cap (excess
 /// connects are answered "error: server overloaded" and closed — never
@@ -72,8 +74,6 @@ struct ServerOptions {
   unsigned KeepGenerations = 0;
   /// Per-tenant summary-store stripe count (0 = store default).
   unsigned StoreStripes = 0;
-  /// Per-tenant post-commit warm pass.
-  bool Presummarize = false;
   /// Per-tenant load-shedding watermarks (defaults disable shedding).
   service::OverloadPolicy Overload;
   /// When nonempty, each tenant snapshots to <SnapshotDir>/<name>.dsum

@@ -22,7 +22,6 @@ using namespace dynsum::service;
 using incremental::CommitOutcome;
 using incremental::CommitStats;
 using incremental::InvalidationPlan;
-using incremental::InvalidationPolicy;
 
 //===----------------------------------------------------------------------===//
 // CommitTicket
@@ -83,17 +82,6 @@ AnalysisService::~AnalysisService() {
   }
   if (Committer.joinable())
     Committer.join();
-  // The warmer stops after the committer: the committer's last commit
-  // may have queued one final warm job, and the warmer drains its
-  // pending slot before exiting, so the shutdown snapshot below covers
-  // the warmed summaries too.
-  {
-    std::lock_guard<std::mutex> Lock(WarmMutex);
-    WarmStop = true;
-    WarmCv.notify_all();
-  }
-  if (Warmer.joinable())
-    Warmer.join();
   // Graceful snapshot-to-disk: best effort, after the committer has
   // drained so the snapshot covers every accepted commit.  Shutdown
   // must never throw; a failed save just means a cold next start.
@@ -212,7 +200,7 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   // The pre-edit boundary flags are usually carried forward from the
   // previous commit (CachedBoundary).  The old generation's graph is
   // immutable, so a full sweep — needed only on the first commit and
-  // after rollback or a ClearAll commit — can run after the build.
+  // after a rollback or a failed commit — can run after the build.
   std::shared_ptr<const Generation> Old = current();
   const bool CarriedValid = CachedBoundaryGen == Old->Number;
   CachedBoundaryGen = kNoBoundaryGen;
@@ -248,18 +236,12 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
     Stats.ApplySeconds = Delta.ApplySeconds;
     Stats.RepackSeconds = Delta.RepackSeconds;
 
-    if (Opts.Policy == InvalidationPolicy::ClearAll) {
-      Stats.SummariesDropped = Store.size();
-      Store.clear(); // bumps the store generation
-    } else {
-      if (!CarriedValid)
-        CachedBoundary =
-            incremental::snapshotBoundary(*Old->Built->Graph, Exec);
-      InvalidationPlan Plan = incremental::planCommitInvalidation(
-          CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Exec);
-      Stats.MethodsInvalidated = Plan.Methods.size();
-      Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
-    }
+    if (!CarriedValid)
+      CachedBoundary = incremental::snapshotBoundary(*Old->Built->Graph, Exec);
+    InvalidationPlan Plan = incremental::planCommitInvalidation(
+        CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Exec);
+    Stats.MethodsInvalidated = Plan.Methods.size();
+    Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
     Stats.SharedSummariesDropped = Stats.SummariesDropped;
 
     // Publish: from here on new batches pin the new generation;
@@ -274,10 +256,8 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
         *NewGen->Built->Graph, Opts.Engine, Store, NewGen->Number);
     // The invalidation diff captured the new graph's boundary flags
     // into CachedBoundary; stamp them with the generation they
-    // describe.  A ClearAll commit skipped the diff, so its next
-    // commit re-sweeps.
-    if (Opts.Policy != InvalidationPolicy::ClearAll)
-      CachedBoundaryGen = NewGen->Number;
+    // describe.
+    CachedBoundaryGen = NewGen->Number;
     publish(std::move(NewGen));
   } catch (const std::exception &E) {
     Stats.Outcome = CommitOutcome::BuildFailed;
@@ -299,8 +279,6 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   TotalCommitMicros.fetch_add(Micros, std::memory_order_relaxed);
   LastCommitRelowered.store(Stats.MethodsRelowered,
                             std::memory_order_relaxed);
-  if (Opts.Presummarize)
-    scheduleWarm();
   return Stats;
 }
 
@@ -446,97 +424,6 @@ void AnalysisService::waitForCommits() {
 }
 
 //===----------------------------------------------------------------------===//
-// Post-commit pre-summarization
-//===----------------------------------------------------------------------===//
-//
-// A successful commit queues one warm job: the recently-queried hot
-// set, against the generation it published.  Re-querying it recomputes
-// exactly the dropped summaries on paths clients actually demand (hot
-// variables whose summaries survived cost one store hit each — noise),
-// under every invalidation policy.  A single warmer thread runs jobs
-// newest-wins — a commit racing ahead of a queued pass simply replaces
-// it, and a pass racing a commit is harmless because it publishes
-// through an epoch pinned to its own generation: the store's gate
-// drops stale entries.  The pass fans out over the commit ExecContext;
-// WorkerPool::run is internally serialized, so sharing the committer's
-// pool costs ordering, never correctness.
-
-void AnalysisService::scheduleWarm() {
-  std::shared_ptr<const Generation> Gen = current();
-  std::vector<ir::VarId> Vars;
-  {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    for (ir::VarId V : HotSet)
-      if (V < Gen->NumVars)
-        Vars.push_back(V);
-  }
-  if (Vars.empty())
-    return;
-  std::sort(Vars.begin(), Vars.end()); // deterministic pass order
-
-  std::lock_guard<std::mutex> Lock(WarmMutex);
-  if (WarmStop)
-    return;
-  PendingWarm = WarmJob{std::move(Gen), std::move(Vars)}; // newest wins
-  if (!Warmer.joinable())
-    Warmer = std::thread([this] { warmerLoop(); });
-  WarmCv.notify_one();
-}
-
-void AnalysisService::warmerLoop() {
-  std::unique_lock<std::mutex> Lock(WarmMutex);
-  for (;;) {
-    WarmCv.wait(Lock,
-                [this] { return PendingWarm.has_value() || WarmStop; });
-    if (!PendingWarm) // stop requested and queue drained
-      return;
-    WarmJob Job = std::move(*PendingWarm);
-    PendingWarm.reset();
-    WarmInFlight = true;
-    Lock.unlock();
-    try {
-      runWarmJob(Job);
-    } catch (...) {
-      // Best effort by contract: a failed pass costs cold queries
-      // later, nothing else.
-    }
-    Lock.lock();
-    WarmInFlight = false;
-    WarmIdleCv.notify_all();
-  }
-}
-
-void AnalysisService::runWarmJob(const WarmJob &Job) {
-  if (Store.generation() != Job.Gen->Number)
-    return; // superseded before it started
-  WarmRunsCount.fetch_add(1, std::memory_order_relaxed);
-  engine::SummaryStoreEpoch Epoch(Store, Job.Gen->Number);
-  const pag::PAG &G = *Job.Gen->Built->Graph;
-  std::atomic<uint64_t> Computed{0};
-  parallelChunks(
-      Job.Vars.size(), Opts.Commit, [&](size_t Begin, size_t End, unsigned) {
-        analysis::DynSumAnalysis A(G, Opts.Engine.Analysis);
-        A.setSummaryExchange(&Epoch);
-        for (size_t I = Begin; I < End; ++I) {
-          if (Store.generation() != Job.Gen->Number)
-            break; // superseded mid-pass: stop burning cycles
-          A.query(G.nodeOfVar(Job.Vars[I]));
-        }
-        Computed.fetch_add(A.stats().get("dynsum.pptaComputed"),
-                           std::memory_order_relaxed);
-      });
-  WarmQueriesRun.fetch_add(Job.Vars.size(), std::memory_order_relaxed);
-  WarmComputed.fetch_add(Computed.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-}
-
-void AnalysisService::waitForWarm() {
-  std::unique_lock<std::mutex> Lock(WarmMutex);
-  WarmIdleCv.wait(Lock,
-                  [this] { return !PendingWarm.has_value() && !WarmInFlight; });
-}
-
-//===----------------------------------------------------------------------===//
 // Generation history
 //===----------------------------------------------------------------------===//
 
@@ -677,17 +564,6 @@ AnalysisService::runBatch(const std::shared_ptr<const Generation> &Gen,
     }
   }
 
-  // Feed the warmer's hot set (capped; no eviction — a saturated set
-  // is already far more than one warm pass will chew through).
-  if (Opts.Presummarize) {
-    std::lock_guard<std::mutex> Lock(HotMutex);
-    for (ir::VarId V : Vars) {
-      if (HotSet.size() >= kHotSetCap)
-        break;
-      HotSet.insert(V);
-    }
-  }
-
   engine::BatchResult R =
       DL ? Gen->Engine->run(Batch, *DL) : Gen->Engine->run(Batch);
 
@@ -793,9 +669,6 @@ ServiceStats AnalysisService::stats() const {
   S.ShedQueries = ShedQueries.load(std::memory_order_relaxed);
   S.TimedOutQueries = TimedOutQueries.load(std::memory_order_relaxed);
   S.CancelledQueries = CancelledQueries.load(std::memory_order_relaxed);
-  S.WarmRuns = WarmRunsCount.load(std::memory_order_relaxed);
-  S.WarmQueries = WarmQueriesRun.load(std::memory_order_relaxed);
-  S.WarmSummariesComputed = WarmComputed.load(std::memory_order_relaxed);
   S.Shedding = SheddingState.load(std::memory_order_relaxed);
   S.Store = Store.counters();
   S.DiskTierAttached = Store.hasDiskTier();

@@ -53,17 +53,6 @@
 ///     stats.  waitForCommits() is the fence for tickets that were
 ///     dropped.
 ///
-///   * Optionally (ServiceOptions::Presummarize), every published
-///     commit hands a background warmer the recently-queried hot set,
-///     and the warmer bulk-computes its PPTA summaries in parallel —
-///     on the committer's ExecContext, pinned to the published store
-///     generation — and publishes them into the TieredSummaryStore.
-///     The first query batch after a commit then hits warm summaries
-///     instead of computing them one query-miss at a time.  A newer
-///     commit supersedes a queued warm job (newest wins) and stale
-///     publishes drop at the store's epoch gate, so warming can never
-///     pollute a later generation.
-///
 ///   * The commit pipeline shards across ServiceOptions::Commit — a
 ///     support::ExecContext carrying the thread budget and, for budgets
 ///     above one, a persistent WorkerPool every phase of every commit
@@ -84,8 +73,11 @@
 /// can no longer be trusted (the graphs themselves share chunks safely
 /// regardless — chunk refcounts do not care about lineage).
 ///
-/// Warm summaries survive commits per the invalidation policy, and
-/// survive restarts through saveSummaries()/loadSummaries() (SummaryIO;
+/// Summaries are computed on demand, the first time a query needs
+/// them.  Every commit drops exactly the summaries its invalidation
+/// plan names, nothing more, and nothing runs after it: the rest stay
+/// warm until a later edit invalidates them.  They survive restarts
+/// through saveSummaries()/loadSummaries() (SummaryIO;
 /// fingerprint-checked against the current program), so a reopened
 /// service starts warm.
 ///
@@ -106,7 +98,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 namespace dynsum {
@@ -134,12 +125,10 @@ struct OverloadPolicy {
 };
 
 /// Service tunables: the engine configuration every generation's
-/// scheduler runs with, the commit invalidation policy, the commit
-/// pipeline's execution context, and the generation-history depth.
+/// scheduler runs with, the commit pipeline's execution context, and
+/// the generation-history depth.
 struct ServiceOptions {
   engine::EngineOptions Engine;
-  incremental::InvalidationPolicy Policy =
-      incremental::InvalidationPolicy::PerMethod;
   /// Execution context the commit pipeline runs on: the shape-
   /// fingerprint sweep, the staged re-lowering, the partitioned CSR
   /// repack and the boundary snapshot/diff all partition over its
@@ -185,16 +174,6 @@ struct ServiceOptions {
   /// a power of two; 0 = the store default).  More stripes spread
   /// concurrent fetch/publish traffic across independent locks.
   unsigned StoreStripes = 0;
-  /// Pre-summarize after commits: every published commit enqueues a
-  /// background warm pass that bulk-computes PPTA summaries for every
-  /// variable a recent query batch asked about and publishes them into
-  /// the store at the new generation, so the first post-commit batch
-  /// hits warm.  The pass runs on the Commit ExecContext
-  /// (WorkerPool::run is serialized, so warm phases and commit phases
-  /// interleave safely on the same pool) and is superseded — not queued
-  /// behind — by the next commit.  waitForWarm() is the completion
-  /// fence.
-  bool Presummarize = false;
 };
 
 /// Outcomes of one service batch plus the generation they were answered
@@ -317,19 +296,13 @@ struct ServiceStats {
   /// Advisory live flags: quarantine armed / currently shedding.
   bool Quarantined = false;
   bool Shedding = false;
-  /// Post-commit pre-summarization counters: warm passes that ran (a
-  /// superseded job does not count), variables they queried, and
-  /// summaries they actually computed (store hits cost nothing).
-  uint64_t WarmRuns = 0;
-  uint64_t WarmQueries = 0;
-  uint64_t WarmSummariesComputed = 0;
   /// The shared summary store's operation counters (fetch/hit/stale/
   /// publish/invalidation/lock-contention, plus the disk-tier probe/
-  /// hit/promotion counters) — the per-store view behind the
-  /// invalidation-policy benchmarks.
+  /// hit/promotion counters): how warm the store stays across
+  /// commits.
   engine::StoreCounters Store;
   /// Whether the store currently has a disk tier attached (false after
-  /// a rollback or ClearAll commit detached it).
+  /// a rollback detached it).
   bool DiskTierAttached = false;
   /// Per-stripe counters of the hot tier, stripe 0 first — the bench's
   /// contention columns.  Aggregate file-level counters (DiskCorrupt)
@@ -399,11 +372,12 @@ public:
   /// Publishes pending edits as a new generation per \p Req: snapshots
   /// the previous generation's graph (a copy-on-write chunk-table copy,
   /// not a clone), patches it with a delta build (or a forced full
-  /// re-lower under CommitMode::Scratch), invalidates the shared store
-  /// per the policy, and swaps the current generation — on the calling
-  /// thread, or on the background committer when Req.Background.
-  /// In-flight batches drain against the previous generation.  A clean
-  /// commit is a no-op whose ticket completes with empty stats.
+  /// re-lower under CommitMode::Scratch), drops the summaries the edit
+  /// invalidates from the shared store, and swaps the current
+  /// generation — on the calling thread, or on the background committer
+  /// when Req.Background.  In-flight batches drain against the previous
+  /// generation.  A clean commit is a no-op whose ticket completes with
+  /// empty stats.
   CommitTicket submitCommit(const CommitRequest &Req = CommitRequest());
 
   /// Blocks until the background queue is empty and no background
@@ -412,12 +386,6 @@ public:
   /// that were dropped; new code should prefer waiting on the ticket
   /// itself.)
   void waitForCommits();
-
-  /// Blocks until no pre-summarization pass is queued or running.
-  /// After it returns (and absent newer commits), every summary the
-  /// latest warm pass covers is resident in the store.  Immediate when
-  /// Presummarize is off.
-  void waitForWarm();
 
   //===------------------------------------------------------------------===//
   // Generation history
@@ -550,29 +518,6 @@ private:
   /// first background submission).
   void committerLoop();
 
-  /// One queued pre-summarization pass: the generation it targets and
-  /// the variables to warm.  Newest wins — a later commit replaces a
-  /// queued job wholesale.
-  struct WarmJob {
-    std::shared_ptr<const Generation> Gen;
-    std::vector<ir::VarId> Vars;
-  };
-
-  /// Queues the hot set, restricted to variables the just-published
-  /// generation knows, as its warm job (caller holds the edit lock).
-  void scheduleWarm();
-
-  /// Body of the background warmer thread (started lazily by the first
-  /// scheduled job).
-  void warmerLoop();
-
-  /// Runs one pre-summarization pass.  Skips silently if the store has
-  /// moved past the job's generation; otherwise fans the variables out
-  /// over the commit ExecContext and publishes summaries through an
-  /// epoch-pinned exchange, so a racing newer generation drops them at
-  /// the store's gate.
-  void runWarmJob(const WarmJob &Job);
-
   ServiceOptions Opts;
   std::unique_ptr<ir::Program> Prog;
 
@@ -588,8 +533,8 @@ private:
   /// forward from the previous commit's invalidation diff (guarded by
   /// EditMutex).  Valid only while CachedBoundaryGen matches the
   /// current generation number; a commit consumes it instead of
-  /// re-sweeping the whole graph, and rollback / ClearAll commits
-  /// invalidate it so the next commit falls back to snapshotBoundary.
+  /// re-sweeping the whole graph, and rollback or a failed commit
+  /// invalidates it so the next commit falls back to snapshotBoundary.
   incremental::BoundarySnapshot CachedBoundary;
   static constexpr uint64_t kNoBoundaryGen = ~uint64_t(0);
   uint64_t CachedBoundaryGen = kNoBoundaryGen;
@@ -622,26 +567,6 @@ private:
   bool AsyncInFlight = false;
   bool AsyncStop = false;
 
-  /// Pre-summarization warmer (Opts.Presummarize).  WarmMutex guards
-  /// the single pending-job slot and the in-flight marker; WarmCv wakes
-  /// the warmer, WarmIdleCv wakes waitForWarm.  The warm passes
-  /// themselves take no service lock — they query a retained generation
-  /// snapshot and publish through the store's epoch gate.
-  mutable std::mutex WarmMutex;
-  std::condition_variable WarmCv;
-  std::condition_variable WarmIdleCv;
-  std::thread Warmer;
-  std::optional<WarmJob> PendingWarm;
-  bool WarmInFlight = false;
-  bool WarmStop = false;
-
-  /// Recently queried variables (guarded by HotMutex) — what the warmer
-  /// re-summarizes.  Capped; recording stops at the cap rather than
-  /// evicting (plenty for a warm pass).
-  mutable std::mutex HotMutex;
-  std::unordered_set<ir::VarId> HotSet;
-  static constexpr size_t kHotSetCap = 65536;
-
   /// Poison-edit quarantine (guarded by EditMutex): armed when a commit
   /// fails after its retries, it fails further *background* requests
   /// fast while the program's edit clock still reads QuarantineClock —
@@ -673,10 +598,6 @@ private:
   std::atomic<uint64_t> ShedQueries{0};
   std::atomic<uint64_t> TimedOutQueries{0};
   std::atomic<uint64_t> CancelledQueries{0};
-  /// Warmer counters (see ServiceStats).
-  std::atomic<uint64_t> WarmRunsCount{0};
-  std::atomic<uint64_t> WarmQueriesRun{0};
-  std::atomic<uint64_t> WarmComputed{0};
   /// Admission control: batches currently inside runBatch, plus the
   /// hysteresis state (true between the high and low watermarks).
   std::atomic<unsigned> ActiveBatches{0};

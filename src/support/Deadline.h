@@ -58,13 +58,18 @@ public:
   /// No deadline, no cancellation — the default.
   static Deadline unlimited() { return Deadline(); }
 
-  /// Expires \p Seconds from now (<= 0 expires immediately).
+  /// Expires \p Seconds from now (<= 0 or NaN expires immediately).  A
+  /// span past the clock's range, +inf included, would overflow the
+  /// tick conversion, so it saturates to a deadline that never expires
+  /// (one second of headroom absorbs the double's rounding up there).
   static Deadline in(double Seconds) {
-    Deadline D;
-    D.HasExpiry = true;
-    D.Expiry = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(Seconds));
-    return D;
+    using Secs = std::chrono::duration<double>;
+    Clock::time_point Now = Clock::now(), Never = Clock::time_point::max();
+    if (!(Seconds > 0))
+      return at(Now);
+    if (Seconds >= Secs(Never - Now).count() - 1.0)
+      return at(Never);
+    return at(Now + std::chrono::duration_cast<Clock::duration>(Secs(Seconds)));
   }
 
   /// Expires at \p At.

@@ -35,7 +35,16 @@ OStream &OStream::operator<<(double V) { return writeFixed(V, 6); }
 OStream &OStream::writeFixed(double V, unsigned Decimals) {
   char Buf[64];
   int Len = std::snprintf(Buf, sizeof(Buf), "%.*f", int(Decimals), V);
-  write(Buf, size_t(Len));
+  if (Len < 0)
+    return *this;
+  if (size_t(Len) < sizeof(Buf)) {
+    write(Buf, size_t(Len));
+    return *this;
+  }
+  // Fixed notation of a huge value runs to hundreds of digits.
+  std::string Long(size_t(Len) + 1, '\0');
+  std::snprintf(Long.data(), Long.size(), "%.*f", int(Decimals), V);
+  write(Long.data(), size_t(Len));
   return *this;
 }
 

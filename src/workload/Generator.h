@@ -58,7 +58,7 @@ std::vector<ir::VarId> probeVariables(const ir::Program &P, size_t Stride);
 /// to a pseudo-random method, plus an assign into an existing variable
 /// when possible.  Returns the methods touched.  Shared so the
 /// TSan-covered service tests exercise exactly the pattern
-/// bench/service_loop measures.
+/// bench/commit_latency measures.
 std::vector<ir::MethodId> applyScriptEdit(ir::Program &P, unsigned I);
 
 } // namespace workload

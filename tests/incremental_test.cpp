@@ -179,21 +179,6 @@ TEST(EditSessionTest, AddingAVariableKeepsNodeIdsStable) {
   EXPECT_TRUE(FreshR.contains(allocOf(S.program(), "ofresh")));
 }
 
-TEST(EditSessionTest, ClearAllPolicyDropsEverything) {
-  auto P = parse(kTwoMethodSource);
-  ir::VarId R = varOf(*P, "main", "r");
-  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-
-  EditSession S(std::move(P), AnalysisOptions(), InvalidationPolicy::ClearAll);
-  S.queryVar(R);
-  ASSERT_GT(S.analysis().cacheSize(), 0u);
-
-  S.markDirty(Main);
-  CommitStats Stats = S.commit();
-  EXPECT_EQ(Stats.SummariesDropped, Stats.SummariesBefore);
-  EXPECT_EQ(S.analysis().cacheSize(), 0u);
-}
-
 /// The boundary-flag regression: helper() starts out *uncalled*; its
 /// formal has no incoming entry edge, so the summary for t records no
 /// boundary tuple.  Adding the first call must invalidate helper's

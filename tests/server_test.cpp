@@ -4,8 +4,9 @@
 /// Tests of the serve path: the overflow-aware line reader (an overlong
 /// line must report ONE error, never execute as two commands), the
 /// shared command interpreter (including the fixed "assign" method
-/// validation), the shutdown-signal plumbing, and the multi-tenant
-/// socket server — greeting/bind protocol, per-tenant isolation (edits
+/// validation and the deadline verb's range check), the shutdown-signal
+/// plumbing, and the multi-tenant socket server — greeting/bind
+/// protocol, the refused save/load verbs, per-tenant isolation (edits
 /// in tenant A never change tenant B's answers), the global connection
 /// cap's well-formed refusal, and a concurrent multi-client mixed
 /// edit/query session (the TSan job runs this test).
@@ -232,6 +233,35 @@ TEST(CommandInterpreter, RollbackRefusesAnythingButANumber) {
   EXPECT_EQ(St, CommandStatus::Ok) << Reply;
 }
 
+TEST(CommandInterpreter, DeadlineRefusesNonFiniteAndSaturatesHugeSpans) {
+  // The fixed bug: "deadline inf" was accepted, and it or any span past
+  // ~9.2e9 s overflowed the conversion to clock ticks, so every later
+  // query timed out at once with an empty answer; "deadline nan" was
+  // accepted and read as "off".
+  auto S = makeService();
+  CommandInterpreter I(*S);
+  for (const char *Arg : {"inf", "-inf", "nan", "infinity"}) {
+    CommandStatus St;
+    std::string Reply = run(I, std::string("deadline ") + Arg, &St);
+    EXPECT_EQ(St, CommandStatus::Error) << Arg;
+    EXPECT_NE(Reply.find("error: deadline wants a millisecond count"),
+              std::string::npos)
+        << Reply;
+    EXPECT_EQ(I.deadlineMs(), 0.0) << Arg;
+  }
+  for (const char *Arg : {"1e13", "1e300"}) {
+    CommandStatus St;
+    run(I, std::string("deadline ") + Arg, &St);
+    EXPECT_EQ(St, CommandStatus::Ok) << Arg;
+    std::string Reply = run(I, "query Main.main.s1");
+    EXPECT_NE(Reply.find("pts(Main.main.s1) = {o26:Integer}"),
+              std::string::npos)
+        << Arg << ": " << Reply;
+    EXPECT_EQ(Reply.find("(timeout)"), std::string::npos)
+        << Arg << ": " << Reply;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Shutdown plumbing
 //===----------------------------------------------------------------------===//
@@ -372,6 +402,34 @@ TEST(AnalysisServer, GreetingBindAndServerVerbs) {
   // Empty request line: still exactly one (empty) reply block.
   EXPECT_EQ(C.request(""), "");
   EXPECT_NE(C.request("quit").find("bye"), std::string::npos);
+}
+
+TEST(AnalysisServer, SaveAndLoadAreRefusedOverTheSocket) {
+  // The fixed hole: the REPL's "save <path>" and "load <path>" took the
+  // path from any loopback client, which could overwrite or read any
+  // file the server can.  Tenants persist through SnapshotDir instead.
+  ServerFixture F;
+  TestClient C(F.Server.port());
+  ASSERT_TRUE(C.connected());
+  C.readBlock();
+  std::string Path = ::testing::TempDir() + "/dynsum_socket_save_probe.dsum";
+  std::remove(Path.c_str());
+  auto ExpectRefused = [&](const std::string &Verb) {
+    std::string Reply = C.request(Verb + " " + Path);
+    EXPECT_EQ(Reply.rfind("error: ", 0), 0u) << Reply;
+    EXPECT_EQ(Reply.find('\n'), Reply.size() - 1) << "one line: " << Reply;
+    EXPECT_NE(Reply.find("--snapshot-dir"), std::string::npos) << Reply;
+  };
+  ExpectRefused("save");
+  C.request("tenant alpha");
+  C.request("query Main.main.s1"); // give the store something to save
+  ExpectRefused("save");
+  ExpectRefused("load");
+  EXPECT_NE(::access(Path.c_str(), F_OK), 0) << "no file may appear";
+  EXPECT_EQ(C.request("help").find("save"), std::string::npos);
+  // The session survives.
+  EXPECT_NE(C.request("query Main.main.s1").find("{o26:Integer}"),
+            std::string::npos);
 }
 
 TEST(AnalysisServer, OverlongProtocolLineIsOneError) {

@@ -32,7 +32,6 @@ using analysis::PortableSummary;
 using analysis::RsmState;
 using incremental::CommitStats;
 using incremental::InvalidationPlan;
-using incremental::InvalidationPolicy;
 
 namespace {
 
@@ -270,25 +269,6 @@ TEST(EditSessionStoreTest, CommitInvalidatesAttachedStore) {
   EXPECT_EQ(RR.allocSites(), RT.allocSites());
 }
 
-TEST(EditSessionStoreTest, ClearAllPolicyClearsAttachedStore) {
-  auto P = parse(kTwoMethodSource);
-  ir::VarId R = varOf(*P, "main", "r");
-  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-
-  SharedSummaryStore Store;
-  incremental::EditSession S(std::move(P), AnalysisOptions(),
-                             InvalidationPolicy::ClearAll);
-  S.attachStore(&Store);
-  S.queryVar(R);
-  ASSERT_GT(Store.size(), 0u);
-
-  S.markDirty(Main);
-  CommitStats Stats = S.commit();
-  EXPECT_EQ(Stats.SharedSummariesDropped, Stats.SummariesBefore);
-  EXPECT_EQ(Store.size(), 0u);
-  EXPECT_EQ(Store.generation(), 1u);
-}
-
 //===----------------------------------------------------------------------===//
 // AnalysisService basics
 //===----------------------------------------------------------------------===//
@@ -370,8 +350,7 @@ std::unique_ptr<ir::Program> makeWorkload(uint64_t Seed = 7) {
 
 // The probe picker and the deterministic edit script are
 // workload::probeVariables / workload::applyScriptEdit — shared with
-// bench/service_loop so these tests pin exactly the scenario the bench
-// measures.
+// bench/commit_latency, whose commits follow the same script.
 using workload::applyScriptEdit;
 using workload::probeVariables;
 
@@ -723,7 +702,10 @@ TEST(AnalysisServiceTest, WarmFromDiskRoundTrip) {
     // The destructor snapshots the store to Path.
   }
 
+  // One engine thread: the warm batch must then never contend a stripe
+  // lock, which the contention counter below pins.
   ServiceOptions SO;
+  SO.Engine.NumThreads = 1;
   SO.WarmFromDiskPath = Path;
   AnalysisService S(makeWorkload(), SO);
   ServiceStats Boot = S.stats();
@@ -742,6 +724,8 @@ TEST(AnalysisServiceTest, WarmFromDiskRoundTrip) {
   EXPECT_GT(After.Store.DiskHits, 0u);
   EXPECT_GT(After.Store.Promoted, 0u);
   EXPECT_EQ(After.Store.DiskCorrupt, 0u);
+  EXPECT_EQ(After.Store.LockContended, 0u)
+      << "a single-threaded warm batch must never contend a stripe lock";
   EXPECT_GT(After.StoreSize, 0u) << "probed records promote into the hot tier";
 
   // Hot-tier hit-rate parity: a second identical batch is served from
@@ -829,115 +813,4 @@ TEST(AnalysisServiceTest, EditAfterWarmAttachInvalidatesDiskRecords) {
   ServiceStats After = S.stats();
   EXPECT_GT(After.Store.DiskProbes, 0u);
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Post-commit pre-summarization
-//===----------------------------------------------------------------------===//
-
-/// The warmer's whole contract in one scenario: after an edit + commit,
-/// the background pass recomputes the summaries for recently-queried
-/// (hot) variables, so re-running the probe batch
-/// computes nothing — and, critically, the pre-summarized answers are
-/// byte-equal to cold ground truth on the edited program.
-TEST(AnalysisServiceTest, PresummarizedAnswersEqualColdAcrossCommit) {
-  auto P = makeWorkload();
-  std::vector<ir::VarId> Probe = probeVariables(*P, 61);
-  ASSERT_GT(Probe.size(), 8u);
-
-  ServiceOptions SO;
-  SO.Presummarize = true;
-  AnalysisService S(makeWorkload(), SO);
-
-  // Cold pass: computes summaries and records the probe as hot.
-  ServiceBatchResult Cold = S.queryVars(Probe);
-  ASSERT_GT(Cold.Stats.SummariesComputed, 0u);
-
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-  S.submitCommit().wait();
-  S.waitForWarm();
-
-  ServiceStats SS = S.stats();
-  EXPECT_GE(SS.WarmRuns, 1u);
-  EXPECT_GT(SS.WarmQueries, 0u);
-
-  applyScriptEdit(*P, 0); // mirror the edit on the reference program
-  std::vector<std::vector<ir::AllocId>> Expected = coldAnswers(*P, Probe);
-
-  ServiceBatchResult Warm = S.queryVars(Probe);
-  EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
-      << "the warm pass must have pre-computed every probe summary";
-  ASSERT_EQ(Warm.Outcomes.size(), Probe.size());
-  for (size_t I = 0; I < Probe.size(); ++I)
-    EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
-}
-
-/// Under ClearAll every summary is dropped, and the warmer still
-/// re-summarizes exactly the hot set: a probe queried before the commit
-/// answers from the store afterwards.
-TEST(AnalysisServiceTest, PresummarizeClearAllWarmsHotSet) {
-  ServiceOptions SO;
-  SO.Presummarize = true;
-  SO.Policy = incremental::InvalidationPolicy::ClearAll;
-  AnalysisService S(makeWorkload(), SO);
-  std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-  ASSERT_GT(Probe.size(), 8u);
-  ASSERT_GT(S.queryVars(Probe).Stats.SummariesComputed, 0u);
-
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-  S.submitCommit().wait();
-  S.waitForWarm();
-  ASSERT_GE(S.stats().WarmRuns, 1u);
-
-  ServiceBatchResult Warm = S.queryVars(Probe);
-  EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
-      << "the warm pass must re-summarize the hot set under ClearAll";
-}
-
-/// The warmer re-summarizes only what clients recently queried: the
-/// edited method's never-queried variables still compute on first
-/// demand.
-TEST(AnalysisServiceTest, PresummarizeSkipsUnqueriedVars) {
-  ServiceOptions SO;
-  SO.Presummarize = true;
-  AnalysisService S(makeWorkload(), SO);
-  std::vector<ir::VarId> Probe = probeVariables(S.program(), 61);
-  ASSERT_GT(Probe.size(), 8u);
-  (void)S.queryVars(Probe);
-
-  std::vector<ir::MethodId> Edited;
-  S.editProgram([&](ir::Program &Q) {
-    Edited = applyScriptEdit(Q, 0);
-    return Edited;
-  });
-  S.submitCommit().wait();
-  S.waitForWarm();
-  ASSERT_GE(S.stats().WarmRuns, 1u);
-  ASSERT_EQ(Edited.size(), 1u);
-
-  std::unordered_set<ir::VarId> Probed(Probe.begin(), Probe.end());
-  std::vector<ir::VarId> Unqueried;
-  const std::vector<ir::Variable> &Vars = S.program().variables();
-  for (size_t I = 0; I < Vars.size(); ++I)
-    if (Vars[I].Owner == Edited[0] && !Probed.count(ir::VarId(I)))
-      Unqueried.push_back(ir::VarId(I));
-  ASSERT_GT(Unqueried.size(), 0u)
-      << "the edited method must own variables outside the probe";
-
-  ServiceBatchResult R = S.queryVars(Unqueried);
-  EXPECT_GT(R.Stats.SummariesComputed, 0u)
-      << "the warmer must not speculatively warm never-queried variables";
-}
-
-/// Presummarize off is the default and must stay inert: no warm passes,
-/// and waitForWarm returns immediately instead of hanging.
-TEST(AnalysisServiceTest, PresummarizeOffIsInert) {
-  AnalysisService S(makeWorkload());
-  std::vector<ir::VarId> Probe = probeVariables(S.program(), 13);
-  S.queryVars(Probe);
-  S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
-  S.submitCommit().wait();
-  S.waitForWarm(); // must not block
-  EXPECT_EQ(S.stats().WarmRuns, 0u);
-  EXPECT_EQ(S.stats().WarmQueries, 0u);
 }

@@ -7,6 +7,7 @@
 
 #include "support/BitVector.h"
 #include "support/CommandLine.h"
+#include "support/Deadline.h"
 #include "support/FlatSet.h"
 #include "support/Hashing.h"
 #include "support/InternedStack.h"
@@ -24,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
@@ -330,6 +332,26 @@ TEST(ZipfTest, AllIndicesReachable) {
 }
 
 //===----------------------------------------------------------------------===//
+// Deadline
+//===----------------------------------------------------------------------===//
+
+TEST(DeadlineTest, SpansPastTheClockRangeNeverExpire) {
+  // Converting these to clock ticks would overflow; they saturate.
+  for (double Seconds : {1e10, 1e300, double(INFINITY)}) {
+    support::Deadline D = support::Deadline::in(Seconds);
+    EXPECT_TRUE(D.hasLimit());
+    EXPECT_FALSE(D.expired()) << Seconds;
+    EXPECT_GT(D.remainingSeconds(), 1e9) << Seconds;
+  }
+}
+
+TEST(DeadlineTest, NonPositiveAndNanSpansExpireAtOnce) {
+  for (double Seconds : {0.0, -1.0, -double(INFINITY), double(NAN)})
+    EXPECT_TRUE(support::Deadline::in(Seconds).expired()) << Seconds;
+  EXPECT_FALSE(support::Deadline::in(3600.0).expired());
+}
+
+//===----------------------------------------------------------------------===//
 // OStream / PrettyTable / Statistics / CommandLine / Hashing
 //===----------------------------------------------------------------------===//
 
@@ -338,6 +360,16 @@ TEST(OStreamTest, FormatsNumbers) {
   OS << uint64_t(42) << ' ' << int64_t(-7) << ' ';
   OS.writeFixed(3.14159, 2);
   EXPECT_EQ(OS.str(), "42 -7 3.14");
+}
+
+/// Fixed notation of a huge value runs past any small stack buffer; it
+/// must come out whole, not truncated or read past the buffer.
+TEST(OStreamTest, WriteFixedPrintsHugeValuesWhole) {
+  StringOStream OS;
+  OS.writeFixed(1e300, 1);
+  ASSERT_EQ(OS.str().size(), 303u);
+  EXPECT_EQ(OS.str().substr(0, 2), "10");
+  EXPECT_EQ(OS.str().substr(OS.str().size() - 2), ".0");
 }
 
 TEST(OStreamTest, PaddingAndRepetition) {

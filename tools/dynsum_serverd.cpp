@@ -6,8 +6,8 @@
 /// Hosts N independent analysis tenants — each with its own program,
 /// AnalysisService, summary store and warm-restart snapshot — behind
 /// one loopback TCP port speaking the newline-delimited serve protocol
-/// (the REPL grammar plus "tenant <name>"/"tenants" binding verbs; see
-/// src/server/Serverd.h for the framing).
+/// (the REPL grammar without save/load, plus "tenant <name>"/"tenants"
+/// binding verbs; see src/server/Serverd.h for the framing).
 ///
 /// Usage:
 ///   dynsum_serverd --tenant=<name>=<program file>...  (repeatable)
@@ -18,10 +18,12 @@
 ///                                         on the next start)
 ///                  [--threads=N] [--commit-threads=N]
 ///                  [--keep-generations=N] [--store-stripes=N]
-///                  [--presummarize] [--budget=N]
-///                  [--max-connections=N]
+///                  [--budget=N] [--max-connections=N]
 ///                  [--max-active-batches=N] [--resume-active-batches=N]
 ///                  [--max-commit-backlog=N]
+///
+/// A negative numeric flag, or a port above 65535, is a usage error
+/// (exit 2).
 ///
 /// The server drains gracefully on SIGTERM/SIGINT: it stops accepting,
 /// unblocks and joins every live session, and snapshots every tenant's
@@ -45,6 +47,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <poll.h>
 
 using namespace dynsum;
@@ -57,7 +60,7 @@ int usage() {
             "                      [--snapshot-dir=dir] [--threads=N] "
             "[--commit-threads=N]\n"
             "                      [--keep-generations=N] "
-            "[--store-stripes=N] [--presummarize]\n"
+            "[--store-stripes=N]\n"
             "                      [--budget=N] [--max-connections=N]\n"
             "                      [--max-active-batches=N] "
             "[--resume-active-batches=N]\n"
@@ -65,30 +68,41 @@ int usage() {
   return 2;
 }
 
-unsigned asUnsigned(int64_t V) { return V < 0 ? 0u : unsigned(V); }
-
 int runServerd(int argc, char **argv) {
   CommandLine Args(argc, argv);
   std::vector<std::string> TenantSpecs = Args.getAll("tenant");
   if (TenantSpecs.empty())
     return usage();
 
+  // Numeric flags are counts.  A value outside the field's range is a
+  // usage error: wrapped, --port=70000 would listen on 4464, and
+  // clamped, --max-connections=-1 would become 0, "unlimited".
+  bool BadFlag = false;
+  auto Count = [&](const char *Name, int64_t Default,
+                   int64_t Max = std::numeric_limits<unsigned>::max()) {
+    int64_t V = Args.getInt(Name, Default);
+    if (V >= 0 && V <= Max)
+      return uint64_t(V);
+    errs() << "error: --" << Name << " wants an integer in [0, " << Max
+           << "]\n";
+    BadFlag = true;
+    return uint64_t(0);
+  };
   server::ServerOptions SO;
-  SO.Port = uint16_t(asUnsigned(Args.getInt("port", 0)));
-  SO.MaxConnections = asUnsigned(Args.getInt("max-connections", 64));
-  SO.QueryThreads = asUnsigned(Args.getInt("threads", 2));
-  SO.CommitThreads = asUnsigned(Args.getInt("commit-threads", 1));
-  SO.KeepGenerations = asUnsigned(Args.getInt("keep-generations", 0));
-  SO.StoreStripes = asUnsigned(Args.getInt("store-stripes", 0));
-  SO.Presummarize = Args.has("presummarize");
+  SO.Port = uint16_t(Count("port", 0, 65535));
+  SO.MaxConnections = unsigned(Count("max-connections", 64));
+  SO.QueryThreads = unsigned(Count("threads", 2));
+  SO.CommitThreads = unsigned(Count("commit-threads", 1));
+  SO.KeepGenerations = unsigned(Count("keep-generations", 0));
+  SO.StoreStripes = unsigned(Count("store-stripes", 0));
   SO.SnapshotDir = Args.getString("snapshot-dir", "");
-  SO.Analysis.BudgetPerQuery = uint64_t(Args.getInt("budget", 75000));
-  SO.Overload.MaxActiveBatches =
-      asUnsigned(Args.getInt("max-active-batches", 0));
-  SO.Overload.ResumeActiveBatches =
-      asUnsigned(Args.getInt("resume-active-batches", 0));
-  SO.Overload.MaxCommitBacklog =
-      asUnsigned(Args.getInt("max-commit-backlog", 0));
+  SO.Analysis.BudgetPerQuery =
+      Count("budget", 75000, std::numeric_limits<int64_t>::max());
+  SO.Overload.MaxActiveBatches = unsigned(Count("max-active-batches", 0));
+  SO.Overload.ResumeActiveBatches = unsigned(Count("resume-active-batches", 0));
+  SO.Overload.MaxCommitBacklog = unsigned(Count("max-commit-backlog", 0));
+  if (BadFlag)
+    return usage();
 
   server::AnalysisServer Server(SO);
   for (const std::string &Spec : TenantSpecs) {

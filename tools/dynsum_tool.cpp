@@ -19,7 +19,7 @@
 ///                 [--stats] [--dump-ir] [--dump-pag]
 ///                 [--serve] [--save-summaries=path] [--load-summaries=path]
 ///                 [--snapshot=path] [--warm-from-disk=path]
-///                 [--store-stripes=N] [--presummarize]
+///                 [--store-stripes=N]
 ///
 /// --threads routes queries and clients through the parallel batch
 /// engine (dynsum only; 0 = one worker per hardware thread); summary
@@ -40,10 +40,6 @@
 /// saves its summary store there on shutdown and, on the next start,
 /// attaches the same file as the store's memory-mapped read-only disk
 /// tier — first queries answer from disk hits instead of recomputing.
-/// --presummarize (serve only) turns on the post-commit warmer: after
-/// each published commit a background pass re-summarizes the
-/// recently-queried variables, so the first batch after an edit hits
-/// the store instead of computing.
 ///
 /// --warm-from-disk=path warms from a different file than the shutdown
 /// snapshot; --store-stripes=N sets the hot tier's lock-stripe count.
@@ -156,14 +152,13 @@ int runServe(std::unique_ptr<ir::Program> Prog,
              const analysis::AnalysisOptions &AO, unsigned Threads,
              unsigned CommitThreads, unsigned KeepGenerations,
              const std::string &Snapshot, const std::string &WarmPath,
-             unsigned StoreStripes, bool Presummarize) {
+             unsigned StoreStripes) {
   service::ServiceOptions SO;
   SO.Engine.NumThreads = Threads;
   SO.Engine.Analysis = AO;
   SO.Commit = CommitThreads;
   SO.KeepGenerations = KeepGenerations;
   SO.StoreStripes = StoreStripes;
-  SO.Presummarize = Presummarize;
   // --snapshot=path is the warm-restart loop in one flag: save the
   // store there on shutdown AND attach the same file as the disk tier
   // on startup.  --warm-from-disk overrides just the startup side.
@@ -267,8 +262,7 @@ int runTool(int argc, char **argv) {
                     KeepGenerations < 0 ? 0u : unsigned(KeepGenerations),
                     Args.getString("snapshot", ""),
                     Args.getString("warm-from-disk", ""),
-                    StoreStripes < 0 ? 0u : unsigned(StoreStripes),
-                    Args.has("presummarize"));
+                    StoreStripes < 0 ? 0u : unsigned(StoreStripes));
   }
 
   // Dispatch resolver.
