@@ -55,12 +55,9 @@ int main(int argc, char **argv) {
     pag::RtaTargetResolver Rta(*Prog);
     Rows.push_back({"RTA", pag::buildPAG(*Prog, &Rta)});
 
-    // Andersen over the CHA PAG refines dispatch for the final build —
-    // the same bootstrap the paper's Spark setup uses.
-    AndersenAnalysis Andersen(*Rows[0].Built.Graph);
-    Andersen.solve();
-    AndersenTargetResolver AndersenRes(Andersen, *Rows[0].Built.Graph);
-    Rows.push_back({"Andersen", pag::buildPAG(*Prog, &AndersenRes)});
+    // The call graph dynsum_tool --resolver=andersen ships: built on the
+    // fly inside one Andersen solve, as Spark builds the paper's.
+    Rows.push_back({"Andersen", buildPAGWithAndersenCallGraph(*Prog)});
 
     outs() << "--- " << Spec->Name << " ---\n";
     PrettyTable T;

@@ -289,7 +289,8 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 
 //===----------------------------------------------------------------------===//
 // Whole-program solve: Andersen at a requested program size, hybrid
-// vs dense set representations.  Opt-in via
+// vs dense set representations, and the whole Andersen call-graph
+// pipeline (buildPAGWithAndersenCallGraph).  Opt-in via
 // --andersen-methods=N (a 10k-method solve is too slow for the default
 // microbench run); results ride the same trajectory JSON.
 //===----------------------------------------------------------------------===//
@@ -297,7 +298,7 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 struct AndersenSection {
   bool Ran = false;
   uint64_t Methods = 0, Nodes = 0, Edges = 0;
-  double T1Ms = 0, DenseT1Ms = 0;
+  double T1Ms = 0, DenseT1Ms = 0, CallGraphT1Ms = 0;
 };
 
 AndersenSection runAndersenSection(uint64_t Methods) {
@@ -314,13 +315,11 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   // variance; a 10k-method solve runs minutes, so one rep has to do.
   // Progress goes to stderr as each config lands.
   const int Reps = Methods >= 5000 ? 1 : 3;
-  auto SolveMs = [&](const char *Name, PtsRep Rep) {
+  auto BestMs = [&](const char *Name, const auto &Body) {
     double Best = 1e300;
     for (int I = 0; I < Reps; ++I) {
       Timer T;
-      AndersenAnalysis A(*Built.Graph, Rep);
-      A.solve();
-      benchmark::DoNotOptimize(A.propagationCount());
+      Body();
       Best = std::min(Best, T.seconds() * 1e3);
     }
     std::fprintf(stderr, "andersen %s: %.2f ms (best of %d)\n", Name, Best,
@@ -333,6 +332,13 @@ AndersenSection runAndersenSection(uint64_t Methods) {
 #endif
     return Best;
   };
+  auto SolveMs = [&](const char *Name, PtsRep Rep) {
+    return BestMs(Name, [&] {
+      AndersenAnalysis A(*Built.Graph, Rep);
+      A.solve();
+      benchmark::DoNotOptimize(A.propagationCount());
+    });
+  };
 
   R.Ran = true;
   R.Methods = Prog->methods().size();
@@ -343,11 +349,19 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   // at 10k methods, which the hybrid representation exists to avoid —
   // so the A/B only runs at scales where dense fits CI-sized memory
   // (the CI hybrid-vs-dense gate uses a second, smaller invocation).
-  if (Methods <= 5000)
+  // The call-graph pipeline (two PAG builds around one solve) runs only
+  // there too, so a 10k-method run takes no longer for it.
+  if (Methods <= 5000) {
     R.DenseT1Ms = SolveMs("dense t1", PtsRep::Dense);
-  else
+    R.CallGraphT1Ms = BestMs("call graph t1", [&] {
+      pag::BuiltPAG CG = buildPAGWithAndersenCallGraph(*Prog);
+      benchmark::DoNotOptimize(CG.Graph->numEdges());
+    });
+  } else {
     std::fprintf(stderr, "andersen dense t1: skipped (universe bitmaps "
-                         "need ~30 GB at this scale)\n");
+                         "need ~30 GB at this scale); call graph t1: "
+                         "skipped above 5k methods\n");
+  }
 
   std::printf("\n-- Andersen whole-program solve (soot-c, %llu methods, "
               "%llu nodes / %llu edges) --\n",
@@ -357,6 +371,9 @@ AndersenSection runAndersenSection(uint64_t Methods) {
   if (R.DenseT1Ms > 0)
     std::printf("dense  t1: %9.2f ms  (hybrid %.2fx vs dense)\n", R.DenseT1Ms,
                 R.DenseT1Ms / R.T1Ms);
+  if (R.CallGraphT1Ms > 0)
+    std::printf("call graph t1: %9.2f ms  (buildPAGWithAndersenCallGraph)\n",
+                R.CallGraphT1Ms);
   return R;
 }
 
@@ -418,6 +435,8 @@ void runThroughputSection(const std::string &JsonPath,
       J.set("andersen.hybrid_speedup_vs_dense",
             Andersen.DenseT1Ms / Andersen.T1Ms);
     }
+    if (Andersen.CallGraphT1Ms > 0)
+      J.set("andersen.callgraph_t1_ms", Andersen.CallGraphT1Ms);
   }
   if (J.writeFile(JsonPath))
     std::printf("throughput JSON written to %s\n", JsonPath.c_str());

@@ -7,16 +7,20 @@
 /// plus one node per (object, field) pair touched by a load or store.
 /// Assign-like PAG edges (assign, assignglobal, entry, exit) become
 /// static copy edges.  Loads and stores add dynamic copy edges as
-/// objects reach base variables.
+/// objects reach base variables.  When the solve builds the call graph
+/// (buildPAGWithAndersenCallGraph), virtual calls do too: each non-null
+/// object reaching a receiver dispatches the call, and a new (site,
+/// target) pair adds the parameter and return copies that lowering the
+/// call would have produced.
 ///
 /// The solver is wave propagation (Pereira & Berlin, CGO 2009),
 /// templated over the points-to container (HybridPtsSet by default,
 /// BitVector for the Dense A/B baseline).  Each sweep collapses every
 /// copy-graph cycle a dirty node reaches into one representative, then
 /// visits the dirty representatives once each in topological order:
-/// field discovery over the objects new at a load/store base, then the
-/// node's whole set OR'd into each successor.  Sweeps repeat until one
-/// leaves nothing dirty.
+/// field and call discovery over the objects new at a load/store base
+/// or receiver, then the node's whole set OR'd into each successor.
+/// Sweeps repeat until one leaves nothing dirty.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,8 +92,16 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
   FlatPairSet Edges; // every copy edge ever added, in original node ids
   std::vector<uint8_t> Dirty(NumVars, 0);
   std::vector<std::vector<Access>> LoadsAt(NumVars), StoresAt(NumVars);
-  // Objects each load/store base has already run discovery for.  Only
-  // bases get a set: one per variable would cost a set header each.
+  // Virtual calls by receiver, each method's returned variables, and the
+  // (call site, target) pairs already wired; filled only when the solve
+  // discovers calls.
+  const ir::Program &Prog = Graph.program();
+  std::vector<std::vector<const ir::Statement *>> CallsAt(NumVars);
+  std::vector<std::vector<ir::VarId>> ReturnsOf(Prog.methods().size());
+  FlatPairSet Wired;
+  // Objects each load/store base or receiver has already run discovery
+  // for.  Only those get a set: one per variable would cost a set header
+  // each.
   std::vector<uint32_t> SeenOf(NumVars, kNone32);
   std::vector<Set> Seen;
 
@@ -154,8 +166,17 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
       break;
     }
   }
+  if (DiscoverCalls) {
+    for (const ir::Method &M : Prog.methods())
+      for (const ir::Statement &S : M.Stmts) {
+        if (S.Kind == ir::StmtKind::Call && S.IsVirtual)
+          CallsAt[Graph.nodeOfVar(S.Base)].push_back(&S);
+        else if (S.Kind == ir::StmtKind::Return)
+          ReturnsOf[M.Id].push_back(S.Src);
+      }
+  }
   for (uint32_t V = 0; V < NumVars; ++V)
-    if (!LoadsAt[V].empty() || !StoresAt[V].empty()) {
+    if (!LoadsAt[V].empty() || !StoresAt[V].empty() || !CallsAt[V].empty()) {
       SeenOf[V] = uint32_t(Seen.size());
       Seen.emplace_back(NumAllocs);
     }
@@ -182,6 +203,9 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
         To.insert(To.end(), From.begin(), From.end());
         std::vector<Access>().swap(From);
       }
+      CallsAt[R].insert(CallsAt[R].end(), CallsAt[M].begin(),
+                        CallsAt[M].end());
+      std::vector<const ir::Statement *>().swap(CallsAt[M]);
       if (SeenOf[M] != kNone32) {
         if (SeenOf[R] == kNone32)
           SeenOf[R] = SeenOf[M];
@@ -256,6 +280,21 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     std::reverse(Order.begin(), Order.end());
   };
 
+  // Dispatches virtual call S on receiver object A, and wires the
+  // copies into a target the first time the site reaches it.
+  auto Dispatch = [&](const ir::Statement &S, uint32_t A, uint32_t N) {
+    const ir::AllocSite &Site = Prog.alloc(ir::AllocId(A));
+    if (Site.IsNull)
+      return; // calls on null do not dispatch
+    ir::MethodId T = Prog.dispatch(Site.Type, S.VirtualName);
+    if (T == ir::kNone || !Wired.insert(S.Call, T))
+      return;
+    forEachCallCopy(S, Prog.method(T), ReturnsOf[T],
+                    [&](ir::VarId Src, ir::VarId Dst, EdgeKind) {
+                      Connect(Graph.nodeOfVar(Src), Graph.nodeOfVar(Dst), N);
+                    });
+  };
+
   std::vector<uint32_t> NewObjs; // discovery scratch, reused per visit
   for (;;) {
     Collapse();
@@ -275,6 +314,8 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
             Connect(FieldNodeOf(ir::AllocId(A), L.F), L.Other, N);
           for (const Access &S : StoresAt[N])
             Connect(S.Other, FieldNodeOf(ir::AllocId(A), S.F), N);
+          for (const ir::Statement *S : CallsAt[N])
+            Dispatch(*S, A, N);
         }
       }
 
@@ -347,18 +388,20 @@ AndersenTargetResolver::resolve(const ir::Program &P, ir::MethodId Caller,
   return Targets;
 }
 
-BuiltPAG dynsum::analysis::buildPAGWithAndersenCallGraph(const ir::Program &P,
-                                                         unsigned Rounds) {
-  BuiltPAG Built = buildPAG(P); // CHA first
-  for (unsigned Round = 0; Round < Rounds; ++Round) {
-    AndersenAnalysis Andersen(*Built.Graph);
-    Andersen.solve();
-    AndersenTargetResolver Resolver(Andersen, *Built.Graph);
-    BuiltPAG Refined = buildPAG(P, &Resolver);
-    bool Same = Refined.Graph->numEdges() == Built.Graph->numEdges();
-    Built = std::move(Refined);
-    if (Same)
-      break; // call graph stabilized
-  }
-  return Built;
+BuiltPAG dynsum::analysis::buildPAGWithAndersenCallGraph(const ir::Program &P) {
+  // The solve wires virtual calls itself, so the graph it starts from
+  // lowers none.  The final PAG is built from scratch, not patched from
+  // this one: a scratch build fixes every edge slot.
+  struct NoVirtualTargets : TargetResolver {
+    std::vector<ir::MethodId> resolve(const ir::Program &, ir::MethodId,
+                                      const ir::Statement &) const override {
+      return {};
+    }
+  } NoVirtual;
+  BuiltPAG Base = buildPAG(P, &NoVirtual);
+  AndersenAnalysis Andersen(*Base.Graph);
+  Andersen.DiscoverCalls = true;
+  Andersen.solve();
+  AndersenTargetResolver Resolver(Andersen, *Base.Graph);
+  return buildPAG(P, &Resolver);
 }

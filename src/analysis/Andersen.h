@@ -6,8 +6,11 @@
 /// Context-insensitive and field-sensitive.  Two roles in this repo:
 ///  * ground-truth over-approximation oracle in the test suite (every
 ///    demand-driven context-sensitive answer must be a subset);
-///  * call-graph construction, standing in for Spark's on-the-fly
-///    Andersen analysis (see AndersenTargetResolver).
+///  * call-graph construction, as Spark builds it on the fly inside one
+///    Andersen solve (buildPAGWithAndersenCallGraph): the solve wires a
+///    virtual call's parameter and return copies as its receiver's set
+///    gains objects, and AndersenTargetResolver reads the call graph
+///    back from the solved receiver sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,12 +56,18 @@ public:
   uint64_t propagationCount() const { return Propagations; }
 
 private:
+  friend pag::BuiltPAG buildPAGWithAndersenCallGraph(const ir::Program &P);
+
   template <class SetVec> void solveSerial(SetVec &P);
 
   const pag::PAG &Graph;
   size_t NumAllocs;
   PtsRep Rep;
   bool Solved = false;
+  /// Set only by buildPAGWithAndersenCallGraph, whose graph lowers no
+  /// virtual call: the solve dispatches each virtual call on its
+  /// receiver's objects and wires the targets' copies itself.
+  bool DiscoverCalls = false;
   uint64_t Propagations = 0;
 
   /// Extended node space: variable nodes first, then one node per
@@ -90,11 +99,14 @@ private:
   const pag::PAG &Graph;
 };
 
-/// Builds a PAG whose call graph was refined by Andersen analysis:
-/// CHA-based PAG first, then up to \p Rounds rebuilds with
-/// points-to-directed dispatch until the call graph stabilizes.
-pag::BuiltPAG buildPAGWithAndersenCallGraph(const ir::Program &P,
-                                            unsigned Rounds = 2);
+/// Builds a PAG whose call graph Andersen analysis built on the fly:
+/// a PAG without virtual-call edges, one solve that dispatches each
+/// virtual call on the non-null objects its receiver gains, then the
+/// final PAG from scratch through AndersenTargetResolver.  The call
+/// graph is the least fixpoint of points-to-directed dispatch; a
+/// receiver that stays empty (its call is dead under the analysis)
+/// keeps the resolver's CHA targets.
+pag::BuiltPAG buildPAGWithAndersenCallGraph(const ir::Program &P);
 
 } // namespace analysis
 } // namespace dynsum

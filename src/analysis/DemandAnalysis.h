@@ -10,7 +10,6 @@
 #define DYNSUM_ANALYSIS_DEMANDANALYSIS_H
 
 #include "analysis/Query.h"
-#include "support/Statistics.h"
 
 #include <functional>
 
@@ -51,13 +50,10 @@ public:
 
   const pag::PAG &graph() const { return Graph; }
   const AnalysisOptions &options() const { return Opts; }
-  Statistics &stats() { return Stats; }
-  const Statistics &stats() const { return Stats; }
 
 protected:
   const pag::PAG &Graph;
   AnalysisOptions Opts;
-  Statistics Stats;
 };
 
 } // namespace analysis

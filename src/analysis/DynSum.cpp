@@ -269,7 +269,7 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
     auto It = Cache.find(Key);
     if (It != Cache.end()) {
       UsedCache = true;
-      Stats.add("dynsum.cacheHits");
+      ++CacheHits;
       return &It->second;
     }
     // Local miss: another instance on the same PAG may have published
@@ -278,7 +278,7 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
       FieldStacks.elementsInto(F, FetchFields);
       if (Exchange->fetch(U, FetchFields, S, FetchScratch)) {
         UsedCache = true;
-        Stats.add("dynsum.sharedHits");
+        ++SharedHits;
         return &Cache
                     .emplace(Key, internSummary(FetchScratch, F, FetchFields))
                     .first->second;
@@ -299,7 +299,7 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
   support::faultPoint("query.summary");
   PptaSummary Fresh;
   bool IsComplete = Engine.compute(U, F, S, B, Fresh);
-  Stats.add("dynsum.pptaComputed");
+  ++SummariesComputed;
   if (!IsComplete)
     return nullptr;
   Fresh.shrinkToFit();
@@ -346,7 +346,6 @@ QueryResult DynSumAnalysis::query(NodeId V,
   while (!Work.empty() && !B.exceeded()) {
     WorkItem It = Work.back();
     Work.pop_back();
-    Stats.add("dynsum.worklistPops");
 
     bool UsedCache = false;
     const PptaSummary *Summary =

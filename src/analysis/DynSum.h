@@ -199,6 +199,13 @@ public:
   /// Number of summaries currently cached (the |Cache| of Figure 5).
   size_t cacheSize() const { return Cache.size(); }
 
+  /// Summary lookups answered from this instance's cache, lookups
+  /// answered by the summary exchange, and summary computations
+  /// (complete or not), since construction.
+  uint64_t cacheHits() const { return CacheHits; }
+  uint64_t sharedHits() const { return SharedHits; }
+  uint64_t summariesComputed() const { return SummariesComputed; }
+
   /// Cache size projected onto distinct (node, state) pairs — the unit
   /// comparable with STASUM's per-boundary-point method summaries
   /// (STASUM's own count is per boundary point, not per pending-field
@@ -287,6 +294,7 @@ private:
   PptaEngine Engine;
   SummaryExchange *Exchange = nullptr;
   std::unordered_map<uint64_t, PptaSummary> Cache;
+  uint64_t CacheHits = 0, SharedHits = 0, SummariesComputed = 0;
   /// Per-query scratch, reused across queries so the steady-state query
   /// path does not allocate: the vector-backed worklist stack, the
   /// packed (alloc, ctx) result set, and the flat worklist de-dup set

@@ -51,7 +51,6 @@ QueryResult RefinePtsAnalysis::query(NodeId V,
   QueryResult Result;
   for (unsigned Iter = 0; Iter < Opts.MaxRefineIterations; ++Iter) {
     ++LastIterations;
-    Stats.add("refine.passes");
     uint64_t StepsBefore = B.used();
     ObjSet Pts = runPass(V, B);
     TotalSteps += B.used() - StepsBefore;
@@ -100,10 +99,8 @@ RefinePtsAnalysis::ObjSet RefinePtsAnalysis::sbPointsTo(NodeId V, StackId Ctx,
   uint64_t Key = packPair(V, Ctx.Id);
   if (Refinement && Opts.EnableCache) {
     auto It = BackCache.find(Key);
-    if (It != BackCache.end()) {
-      Stats.add("refine.cacheHits");
+    if (It != BackCache.end())
       return It->second;
-    }
   }
   if (!ActiveBack.insert(Key).second) {
     // Points-to cycle: do not re-traverse (visited flags, Section 5.1).
@@ -235,10 +232,8 @@ RefinePtsAnalysis::VarSet RefinePtsAnalysis::fwdFlowsTo(NodeId V, StackId Ctx,
   uint64_t Key = packPair(V, Ctx.Id);
   if (Refinement && Opts.EnableCache) {
     auto It = FwdCache.find(Key);
-    if (It != FwdCache.end()) {
-      Stats.add("refine.cacheHits");
+    if (It != FwdCache.end())
       return It->second;
-    }
   }
   if (!ActiveFwd.insert(Key).second) {
     CycleDependent = true;

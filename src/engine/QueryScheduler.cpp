@@ -68,9 +68,9 @@ void QueryScheduler::runShard(const QueryBatch &B, size_t Shard,
     else if (R.Status == QueryStatus::Cancelled)
       ++Stats.Cancelled;
   }
-  Stats.SharedHits = A.stats().get("dynsum.sharedHits");
-  Stats.LocalHits = A.stats().get("dynsum.cacheHits");
-  Stats.SummariesComputed = A.stats().get("dynsum.pptaComputed");
+  Stats.SharedHits = A.sharedHits();
+  Stats.LocalHits = A.cacheHits();
+  Stats.SummariesComputed = A.summariesComputed();
 }
 
 BatchResult QueryScheduler::run(const QueryBatch &B) {

@@ -114,23 +114,16 @@ void lowerMethodInto(StagedLowering &Out, const PAG &G, const Program &P,
       Emit(G.nodeOfVar(S.Src), G.nodeOfVar(S.Base), EdgeKind::Store,
            S.FieldLabel);
       break;
-    case StmtKind::Call: {
+    case StmtKind::Call:
       for (MethodId Target : CG.targets(S.Call)) {
-        const Method &Callee = P.method(Target);
         bool ContextFree = CG.inSameRecursion(Id, Target);
-        size_t NumArgs = S.Args.size() < Callee.Params.size()
-                             ? S.Args.size()
-                             : Callee.Params.size();
-        for (size_t I = 0; I < NumArgs; ++I)
-          Emit(G.nodeOfVar(S.Args[I]), G.nodeOfVar(Callee.Params[I]),
-               EdgeKind::Entry, S.Call, ContextFree);
-        if (S.Dst != kNone)
-          for (VarId Ret : Returns.of(Target))
-            Emit(G.nodeOfVar(Ret), G.nodeOfVar(S.Dst), EdgeKind::Exit,
-                 S.Call, ContextFree);
+        forEachCallCopy(S, P.method(Target), Returns.of(Target),
+                        [&](VarId Src, VarId Dst, EdgeKind Kind) {
+                          Emit(G.nodeOfVar(Src), G.nodeOfVar(Dst), Kind,
+                               S.Call, ContextFree);
+                        });
       }
       break;
-    }
     case StmtKind::Return:
       break; // handled from the call side
     }

@@ -33,6 +33,7 @@
 #include "pag/CallGraph.h"
 #include "pag/PAG.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
@@ -67,6 +68,22 @@ struct DeltaStats {
   double ApplySeconds = 0.0;
   double RepackSeconds = 0.0;
 };
+
+/// Calls \p Copy(Src, Dst, Kind) for each copy that call statement \p S
+/// makes into its target \p Callee: argument i to parameter i while
+/// both exist (Entry), then each of the target's returned variables
+/// \p Returns to the call's result, when it has one (Exit).  buildPAG
+/// lowers these as edges; the Andersen call-graph solve wires them.
+template <class CopyFn>
+void forEachCallCopy(const ir::Statement &S, const ir::Method &Callee,
+                     const std::vector<ir::VarId> &Returns, CopyFn Copy) {
+  size_t NumArgs = std::min(S.Args.size(), Callee.Params.size());
+  for (size_t I = 0; I < NumArgs; ++I)
+    Copy(S.Args[I], Callee.Params[I], EdgeKind::Entry);
+  if (S.Dst != ir::kNone)
+    for (ir::VarId Ret : Returns)
+      Copy(Ret, S.Dst, EdgeKind::Exit);
+}
 
 /// Translates \p P into PAG edges per Figure 1:
 ///   * every variable and allocation site becomes a node;

@@ -182,7 +182,7 @@ TEST_F(Figure2Test, DynSumReusesSummariesAcrossQueries) {
 
   EXPECT_EQ(sites(WarmS2), sites(ColdS2));
   EXPECT_LT(WarmS2.Steps, ColdS2.Steps);
-  EXPECT_GT(Warm.stats().get("dynsum.cacheHits"), 0u);
+  EXPECT_GT(Warm.cacheHits(), 0u);
   (void)WarmS1;
 }
 

@@ -5,7 +5,8 @@
 /// the nine benchmark shapes and several seeds:
 ///
 ///   * soundness     — every demand-driven answer (that stayed within
-///                     budget) is a subset of Andersen's;
+///                     budget) is a subset of Andersen's, on the CHA
+///                     graph and on the Andersen call graph;
 ///   * precision     — DYNSUM, NOREFINE and fully-refined REFINEPTS
 ///                     agree on allocation sites ("without any precision
 ///                     loss", the paper's central correctness claim);
@@ -64,6 +65,29 @@ protected:
     return Out;
   }
 
+  /// Every within-budget DYNSUM and NOREFINE answer on \p G is a subset
+  /// of Andersen's on \p G.
+  void expectSubsetsOfAndersen(const pag::PAG &G) const {
+    AndersenAnalysis Exhaustive(G);
+    Exhaustive.solve();
+    DynSumAnalysis Dyn(G, Opts);
+    RefinePtsAnalysis NoRef(G, Opts, /*Refinement=*/false);
+
+    for (pag::NodeId N : sampleNodes(41)) {
+      std::vector<ir::AllocId> Truth = Exhaustive.allocSites(N);
+      for (DemandAnalysis *A :
+           std::initializer_list<DemandAnalysis *>{&Dyn, &NoRef}) {
+        QueryResult R = A->query(N);
+        if (R.BudgetExceeded)
+          continue; // no claim on aborted queries
+        for (ir::AllocId Site : R.allocSites())
+          EXPECT_TRUE(std::binary_search(Truth.begin(), Truth.end(), Site))
+              << A->name() << " found " << Prog->describeAlloc(Site)
+              << " at " << G.describe(N) << " that Andersen does not";
+      }
+    }
+  }
+
   std::unique_ptr<ir::Program> Prog;
   pag::BuiltPAG Built;
   AnalysisOptions Opts;
@@ -72,25 +96,12 @@ protected:
 } // namespace
 
 TEST_P(GeneratedProgramTest, DemandAnswersAreSubsetsOfAndersen) {
-  AndersenAnalysis Exhaustive(*Built.Graph);
-  Exhaustive.solve();
-  DynSumAnalysis Dyn(*Built.Graph, Opts);
-  RefinePtsAnalysis NoRef(*Built.Graph, Opts, /*Refinement=*/false);
+  expectSubsetsOfAndersen(*Built.Graph);
+}
 
-  for (pag::NodeId N : sampleNodes(41)) {
-    std::vector<ir::AllocId> Truth = Exhaustive.allocSites(N);
-    for (DemandAnalysis *A :
-         std::initializer_list<DemandAnalysis *>{&Dyn, &NoRef}) {
-      QueryResult R = A->query(N);
-      if (R.BudgetExceeded)
-        continue; // no claim on aborted queries
-      for (ir::AllocId Site : R.allocSites())
-        EXPECT_TRUE(std::binary_search(Truth.begin(), Truth.end(), Site))
-            << A->name() << " found " << Prog->describeAlloc(Site)
-            << " at " << Built.Graph->describe(N)
-            << " that Andersen does not";
-    }
-  }
+TEST_P(GeneratedProgramTest, SubsetsOfAndersenOnTheAndersenCallGraph) {
+  // Node ids depend only on the program, so sampleNodes fits this graph.
+  expectSubsetsOfAndersen(*buildPAGWithAndersenCallGraph(*Prog).Graph);
 }
 
 TEST_P(GeneratedProgramTest, DynSumMatchesNoRefinePrecision) {

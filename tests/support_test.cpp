@@ -17,7 +17,6 @@
 #include "support/Random.h"
 #include "support/SharedMutex.h"
 #include "support/SmallVector.h"
-#include "support/Statistics.h"
 #include "support/StringInterner.h"
 #include "support/Timer.h"
 
@@ -352,7 +351,7 @@ TEST(DeadlineTest, NonPositiveAndNanSpansExpireAtOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// OStream / PrettyTable / Statistics / CommandLine / Hashing
+// OStream / PrettyTable / CommandLine / Hashing
 //===----------------------------------------------------------------------===//
 
 TEST(OStreamTest, FormatsNumbers) {
@@ -392,16 +391,6 @@ TEST(PrettyTableTest, AlignsColumns) {
   EXPECT_NE(Text.find("name"), std::string::npos);
   EXPECT_NE(Text.find("1000"), std::string::npos);
   EXPECT_NE(Text.find("----"), std::string::npos);
-}
-
-TEST(StatisticsTest, AddAndQuery) {
-  Statistics S;
-  S.add("queries");
-  S.add("queries", 4);
-  EXPECT_EQ(S.get("queries"), 5u);
-  EXPECT_EQ(S.get("absent"), 0u);
-  S.clear();
-  EXPECT_EQ(S.get("queries"), 0u);
 }
 
 TEST(CommandLineTest, ParsesFlagsAndPositionals) {
