@@ -168,18 +168,6 @@ void BM_AndersenSolve(benchmark::State &State) {
 }
 BENCHMARK(BM_AndersenSolve);
 
-void BM_AndersenSolve_DenseBaseline(benchmark::State &State) {
-  // The pre-hybrid representation (one dense BitVector per node):
-  // the baseline the hybrid set is measured against.
-  GenProg &G = GenProg::get();
-  for (auto _ : State) {
-    AndersenAnalysis A(*G.Built.Graph, PtsRep::Dense);
-    A.solve();
-    benchmark::DoNotOptimize(A.propagationCount());
-  }
-}
-BENCHMARK(BM_AndersenSolve_DenseBaseline);
-
 void BM_PAGBuild(benchmark::State &State) {
   GenProg &G = GenProg::get();
   for (auto _ : State) {
@@ -288,9 +276,9 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 }
 
 //===----------------------------------------------------------------------===//
-// Whole-program solve: Andersen at a requested program size, hybrid
-// vs dense set representations, and the whole Andersen call-graph
-// pipeline (buildPAGWithAndersenCallGraph).  Opt-in via
+// Whole-program solve: Andersen at a requested program size and the
+// whole Andersen call-graph pipeline (buildPAGWithAndersenCallGraph).
+// Opt-in via
 // --andersen-methods=N (a 10k-method solve is too slow for the default
 // microbench run); results ride the same trajectory JSON.
 //===----------------------------------------------------------------------===//
@@ -298,7 +286,7 @@ template <typename Fn> double measureRate(double MinSeconds, Fn &&Body) {
 struct AndersenSection {
   bool Ran = false;
   uint64_t Methods = 0, Nodes = 0, Edges = 0;
-  double T1Ms = 0, DenseT1Ms = 0, CallGraphT1Ms = 0;
+  double T1Ms = 0, CallGraphT1Ms = 0;
 };
 
 AndersenSection runAndersenSection(uint64_t Methods) {
@@ -332,45 +320,31 @@ AndersenSection runAndersenSection(uint64_t Methods) {
 #endif
     return Best;
   };
-  auto SolveMs = [&](const char *Name, PtsRep Rep) {
-    return BestMs(Name, [&] {
-      AndersenAnalysis A(*Built.Graph, Rep);
-      A.solve();
-      benchmark::DoNotOptimize(A.propagationCount());
-    });
-  };
-
   R.Ran = true;
   R.Methods = Prog->methods().size();
   R.Nodes = Built.Graph->numNodes();
   R.Edges = Built.Graph->numEdges();
-  R.T1Ms = SolveMs("hybrid t1", PtsRep::Hybrid);
-  // The dense baseline keeps a universe-sized bitmap per node — ~30 GB
-  // at 10k methods, which the hybrid representation exists to avoid —
-  // so the A/B only runs at scales where dense fits CI-sized memory
-  // (the CI hybrid-vs-dense gate uses a second, smaller invocation).
+  R.T1Ms = BestMs("t1", [&] {
+    AndersenAnalysis A(*Built.Graph);
+    A.solve();
+    benchmark::DoNotOptimize(A.propagationCount());
+  });
   // The call-graph pipeline (two PAG builds around one solve) runs only
-  // there too, so a 10k-method run takes no longer for it.
-  if (Methods <= 5000) {
-    R.DenseT1Ms = SolveMs("dense t1", PtsRep::Dense);
+  // up to 5k methods, so a 10k-method run takes no longer for it.
+  if (Methods <= 5000)
     R.CallGraphT1Ms = BestMs("call graph t1", [&] {
       pag::BuiltPAG CG = buildPAGWithAndersenCallGraph(*Prog);
       benchmark::DoNotOptimize(CG.Graph->numEdges());
     });
-  } else {
-    std::fprintf(stderr, "andersen dense t1: skipped (universe bitmaps "
-                         "need ~30 GB at this scale); call graph t1: "
-                         "skipped above 5k methods\n");
-  }
+  else
+    std::fprintf(stderr, "andersen call graph t1: skipped above 5k "
+                         "methods\n");
 
   std::printf("\n-- Andersen whole-program solve (soot-c, %llu methods, "
               "%llu nodes / %llu edges) --\n",
               (unsigned long long)R.Methods, (unsigned long long)R.Nodes,
               (unsigned long long)R.Edges);
-  std::printf("hybrid t1: %9.2f ms\n", R.T1Ms);
-  if (R.DenseT1Ms > 0)
-    std::printf("dense  t1: %9.2f ms  (hybrid %.2fx vs dense)\n", R.DenseT1Ms,
-                R.DenseT1Ms / R.T1Ms);
+  std::printf("t1: %9.2f ms\n", R.T1Ms);
   if (R.CallGraphT1Ms > 0)
     std::printf("call graph t1: %9.2f ms  (buildPAGWithAndersenCallGraph)\n",
                 R.CallGraphT1Ms);
@@ -430,11 +404,6 @@ void runThroughputSection(const std::string &JsonPath,
     J.set("andersen.pag_nodes", Andersen.Nodes);
     J.set("andersen.pag_edges", Andersen.Edges);
     J.set("andersen.t1_ms", Andersen.T1Ms);
-    if (Andersen.DenseT1Ms > 0) {
-      J.set("andersen.dense_t1_ms", Andersen.DenseT1Ms);
-      J.set("andersen.hybrid_speedup_vs_dense",
-            Andersen.DenseT1Ms / Andersen.T1Ms);
-    }
     if (Andersen.CallGraphT1Ms > 0)
       J.set("andersen.callgraph_t1_ms", Andersen.CallGraphT1Ms);
   }

@@ -7,9 +7,10 @@
 /// time wastes the work the previous run already did.  This example
 /// simulates two runs of a tool on the same program: the first answers
 /// a query batch cold through the parallel batch engine and saves the
-/// engine's shared summary store to disk; the second loads the store
-/// back (warm start through SummaryIO) and answers the same batch with
-/// a fraction of the summary computations.
+/// engine's shared summary store to disk; the second attaches that
+/// snapshot as the store's disk tier and answers the same batch with a
+/// fraction of the summary computations — every summary it needs comes
+/// off the mapped file instead of a PPTA traversal.
 ///
 /// Run: build/examples/warm_start
 ///
@@ -42,9 +43,11 @@ uint64_t run(const char *Label, const std::string &CachePath, bool Load,
   QueryScheduler Scheduler(*Built.Graph, Opts);
 
   if (Load) {
-    if (Scheduler.loadSummaries(CachePath))
-      outs() << Label << ": loaded " << uint64_t(Scheduler.store().size())
-             << " summaries from " << CachePath << '\n';
+    TieredSummaryStore::DiskTierStatus St =
+        Scheduler.store().attachDiskTier(CachePath, *Built.Graph);
+    if (St.Attached)
+      outs() << Label << ": loaded " << St.Records << " summaries from "
+             << CachePath << '\n';
     else
       outs() << Label << ": no usable summary file, starting cold\n";
   }
@@ -63,7 +66,7 @@ uint64_t run(const char *Label, const std::string &CachePath, bool Load,
          << " shared-store hits, " << uint64_t(R.Stats.StoreSize)
          << " summaries stored\n";
 
-  if (Save && Scheduler.saveSummaries(CachePath))
+  if (Save && Scheduler.store().save(CachePath, *Built.Graph))
     outs() << Label << ": saved summary store to " << CachePath << '\n';
   return R.Stats.TotalSteps;
 }

@@ -6,7 +6,8 @@
 # save verb on the way), SIGTERM it mid-run, and assert the graceful
 # drain snapshotted every tenant — then restart over the same snapshot
 # directory and assert the un-edited tenant answers its first batch
-# warm from the disk tier.
+# warm from the disk tier, and start a third time to assert the second
+# start's drain kept the records it attached but never touched.
 # (The edited tenant's snapshot is fingerprinted against its COMMITTED
 # program, so a restart over the original source intentionally refuses
 # the stale warm attach — that refusal is correctness, not a failure.)
@@ -54,8 +55,9 @@ start_server() { # start_server <tenant flags...>; sets SRV_PID and PORT
 # One python client process per session script: sends each line, reads
 # the "."-terminated reply block, and checks the expectation patterns
 # passed on stdin as "command<TAB>required substring<TAB>forbidden".
-drive() { # drive <port>
-  python3 - "$1" <<'PYEOF'
+# The client is a file, not "python3 -": a heredoc on python's stdin
+# would take the place of the piped session script.
+cat >"$WORK/drive.py" <<'PYEOF'
 import socket, sys
 
 port = int(sys.argv[1])
@@ -89,6 +91,8 @@ for spec in sys.stdin.read().splitlines():
 s.close()
 sys.exit(failed)
 PYEOF
+drive() { # drive <port>
+  python3 "$WORK/drive.py" "$1"
 }
 
 # --- Out-of-range numeric flags: usage error, never wrapped or clamped --
@@ -131,6 +135,7 @@ fi
 printf '%s\n' \
   $'tenant beta\ttenant beta bound' \
   $'query Main.main.s1\t{o26:Integer}\ts1@serve' \
+  $'query Main.main.s2\t{o29:String}' \
   $'stats\tgeneration 0' \
   $'quit\tbye' \
   | drive "$PORT" || { echo "FAIL: beta session (isolation)" >&2; exit 1; }
@@ -167,7 +172,27 @@ printf '%s\n' \
   | drive "$PORT" || { echo "FAIL: beta did not restart warm" >&2; exit 1; }
 
 kill -TERM "$SRV_PID"
+wait "$SRV_PID"
+RC=$?
+SRV_PID=""
+if [ "$RC" -ne 0 ]; then
+  echo "FAIL: serverd exited $RC on the second SIGTERM:" >&2
+  cat "$WORK/server.log" >&2
+  exit 1
+fi
+
+# --- Round 3: the second start asked only s1; its drain must still have
+# saved s2's summaries, so a third start computes none of them ---------
+start_server --tenant=beta="$IR"
+
+printf '%s\n' \
+  $'tenant beta\ttenant beta bound' \
+  $'query Main.main.s2\t, 0 computed]' \
+  $'quit\tbye' \
+  | drive "$PORT" || { echo "FAIL: third start recomputed summaries" >&2; exit 1; }
+
+kill -TERM "$SRV_PID"
 wait "$SRV_PID" || true
 SRV_PID=""
 
-echo "serverd smoke: 2 tenants driven, isolated, SIGTERM-drained, warm restart verified"
+echo "serverd smoke: 2 tenants driven, isolated, SIGTERM-drained, two warm restarts verified"

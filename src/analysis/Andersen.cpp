@@ -13,9 +13,8 @@
 /// target) pair adds the parameter and return copies that lowering the
 /// call would have produced.
 ///
-/// The solver is wave propagation (Pereira & Berlin, CGO 2009),
-/// templated over the points-to container (HybridPtsSet by default,
-/// BitVector for the Dense A/B baseline).  Each sweep collapses every
+/// The solver is wave propagation (Pereira & Berlin, CGO 2009) over
+/// HybridPtsSet points-to sets.  Each sweep collapses every
 /// copy-graph cycle a dirty node reaches into one representative, then
 /// visits the dirty representatives once each in topological order:
 /// field and call discovery over the objects new at a load/store base
@@ -48,40 +47,29 @@ struct Access {
 };
 
 /// Appends to \p Out the members of \p S not yet in \p Seen, adding them
-/// to \p Seen.  The dense baseline keeps the seed's alloc-universe probe
-/// scan; the hybrid set walks only the new members, in the union's own
+/// to \p Seen: only the new members are walked, in the union's own
 /// loop.  Collected into a scratch vector because the caller creates
 /// field nodes (growing the set vector) while it consumes them.
-void takeNew(const BitVector &S, BitVector &Seen, size_t Universe,
-             std::vector<uint32_t> &Out) {
-  for (size_t A = 0; A < Universe; ++A)
-    if (S.test(A) && Seen.set(A))
-      Out.push_back(uint32_t(A));
-}
-void takeNew(const HybridPtsSet &S, HybridPtsSet &Seen, size_t,
+void takeNew(const HybridPtsSet &S, HybridPtsSet &Seen,
              std::vector<uint32_t> &Out) {
   Seen.orInPlace(S, [&](uint32_t A) { Out.push_back(A); });
 }
 
 } // namespace
 
-AndersenAnalysis::AndersenAnalysis(const PAG &G, PtsRep Rep)
-    : Graph(G), NumAllocs(G.program().allocs().size()), Rep(Rep) {}
+AndersenAnalysis::AndersenAnalysis(const PAG &G)
+    : Graph(G), NumAllocs(G.program().allocs().size()) {}
 
 void AndersenAnalysis::solve() {
   if (Solved)
     return;
   Solved = true;
-  if (Rep == PtsRep::Dense)
-    solveSerial(DensePts);
-  else
-    solveSerial(Pts);
+  solveSerial();
 }
 
-template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
-  using Set = typename SetVec::value_type;
+void AndersenAnalysis::solveSerial() {
   const uint32_t NumVars = uint32_t(Graph.numNodes());
-  P.assign(NumVars, Set(NumAllocs));
+  Pts.assign(NumVars, HybridPtsSet(NumAllocs));
   RepOf.resize(NumVars);
   std::iota(RepOf.begin(), RepOf.end(), 0u);
 
@@ -103,7 +91,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
   // for.  Only those get a set: one per variable would cost a set header
   // each.
   std::vector<uint32_t> SeenOf(NumVars, kNone32);
-  std::vector<Set> Seen;
+  std::vector<HybridPtsSet> Seen;
 
   auto Find = [&](uint32_t N) {
     while (RepOf[N] != N) {
@@ -115,9 +103,9 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
 
   auto FieldNodeOf = [&](ir::AllocId A, ir::FieldId F) -> uint32_t {
     auto [It, New] =
-        FieldNodes.try_emplace(packPair(A, F), uint32_t(P.size()));
+        FieldNodes.try_emplace(packPair(A, F), uint32_t(Pts.size()));
     if (New) {
-      P.emplace_back(NumAllocs);
+      Pts.emplace_back(NumAllocs);
       Succ.emplace_back();
       RepOf.push_back(It->second);
       Dirty.push_back(0);
@@ -146,7 +134,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     const Edge &E = Graph.edge(Id);
     switch (E.Kind) {
     case EdgeKind::New:
-      P[E.Dst].set(Graph.allocOf(E.Src));
+      Pts[E.Dst].set(Graph.allocOf(E.Src));
       Dirty[E.Dst] = 1;
       break;
     case EdgeKind::Assign:
@@ -191,8 +179,8 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     for (uint32_t M : Members) {
       if (M == R)
         continue;
-      P[R].orInPlace(P[M]);
-      P[M] = Set();
+      Pts[R].orInPlace(Pts[M]);
+      Pts[M] = HybridPtsSet();
       Succ[R].insert(Succ[R].end(), Succ[M].begin(), Succ[M].end());
       std::vector<uint32_t>().swap(Succ[M]);
       Dirty[M] = 0;
@@ -210,7 +198,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
         if (SeenOf[R] == kNone32)
           SeenOf[R] = SeenOf[M];
         else
-          Seen[SeenOf[M]] = Set();
+          Seen[SeenOf[M]] = HybridPtsSet();
         SeenOf[M] = kNone32;
       }
     }
@@ -222,7 +210,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
     Out.erase(std::remove(Out.begin(), Out.end(), R), Out.end());
     // The merged accesses have seen none of each other's objects.
     if (R < NumVars && SeenOf[R] != kNone32)
-      Seen[SeenOf[R]] = Set(NumAllocs);
+      Seen[SeenOf[R]] = HybridPtsSet(NumAllocs);
     Dirty[R] = 1;
   };
 
@@ -235,8 +223,8 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
   std::vector<uint32_t> Index, Low, Stack, Order;
   std::vector<std::pair<uint32_t, uint32_t>> Frames; // (node, next succ)
   auto Collapse = [&] {
-    Index.assign(P.size(), 0);
-    Low.assign(P.size(), 0);
+    Index.assign(Pts.size(), 0);
+    Low.assign(Pts.size(), 0);
     Order.clear();
     uint32_t Next = 0;
     auto Open = [&](uint32_t V) {
@@ -244,7 +232,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
       Stack.push_back(V);
       Frames.emplace_back(V, 0);
     };
-    for (uint32_t Root = 0; Root < P.size(); ++Root) {
+    for (uint32_t Root = 0; Root < Pts.size(); ++Root) {
       if (!Dirty[Root] || Index[Root] != 0)
         continue;
       Open(Root);
@@ -308,7 +296,7 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
       // nodes created here are not in Order; they wait for next sweep.
       if (N < NumVars && SeenOf[N] != kNone32) {
         NewObjs.clear();
-        takeNew(P[N], Seen[SeenOf[N]], NumAllocs, NewObjs);
+        takeNew(Pts[N], Seen[SeenOf[N]], NewObjs);
         for (uint32_t A : NewObjs) {
           for (const Access &L : LoadsAt[N])
             Connect(FieldNodeOf(ir::AllocId(A), L.F), L.Other, N);
@@ -320,10 +308,10 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
       }
 
       // Propagate N's whole set over its copy successors.
-      const Set &From = P[N];
+      const HybridPtsSet &From = Pts[N];
       for (uint32_t &S : Succ[N]) {
         S = Find(S);
-        if (S != N && P[S].orInPlace(From))
+        if (S != N && Pts[S].orInPlace(From))
           Dirty[S] = 1;
       }
     }
@@ -338,21 +326,13 @@ template <class SetVec> void AndersenAnalysis::solveSerial(SetVec &P) {
 std::vector<ir::AllocId> AndersenAnalysis::allocSites(NodeId V) const {
   assert(Solved && "query before solve()");
   std::vector<ir::AllocId> Out;
-  V = RepOf[V];
-  if (Rep == PtsRep::Dense) {
-    for (size_t A = 0; A < NumAllocs; ++A)
-      if (DensePts[V].test(A))
-        Out.push_back(ir::AllocId(A));
-  } else {
-    Pts[V].forEach([&](uint32_t A) { Out.push_back(ir::AllocId(A)); });
-  }
+  Pts[RepOf[V]].forEach([&](uint32_t A) { Out.push_back(ir::AllocId(A)); });
   return Out;
 }
 
 bool AndersenAnalysis::pointsTo(NodeId V, ir::AllocId A) const {
   assert(Solved && "query before solve()");
-  V = RepOf[V];
-  return Rep == PtsRep::Dense ? DensePts[V].test(A) : Pts[V].test(A);
+  return Pts[RepOf[V]].test(A);
 }
 
 std::vector<ir::AllocId>

@@ -29,15 +29,10 @@
 namespace dynsum {
 namespace analysis {
 
-/// Which container backs the solver's points-to sets.  Hybrid is the
-/// default everywhere; Dense keeps the seed BitVector representation
-/// alive as an in-run A/B baseline for benches and equivalence tests.
-enum class PtsRep { Hybrid, Dense };
-
 /// Whole-program inclusion-based solver over a finalized PAG.
 class AndersenAnalysis {
 public:
-  explicit AndersenAnalysis(const pag::PAG &G, PtsRep Rep = PtsRep::Hybrid);
+  explicit AndersenAnalysis(const pag::PAG &G);
 
   /// Runs to fixpoint.  Idempotent.
   void solve();
@@ -58,11 +53,10 @@ public:
 private:
   friend pag::BuiltPAG buildPAGWithAndersenCallGraph(const ir::Program &P);
 
-  template <class SetVec> void solveSerial(SetVec &P);
+  void solveSerial();
 
   const pag::PAG &Graph;
   size_t NumAllocs;
-  PtsRep Rep;
   bool Solved = false;
   /// Set only by buildPAGWithAndersenCallGraph, whose graph lowers no
   /// virtual call: the solve dispatches each virtual call on its
@@ -71,12 +65,10 @@ private:
   uint64_t Propagations = 0;
 
   /// Extended node space: variable nodes first, then one node per
-  /// touched (object, field) pair, created on demand.  Exactly one of
-  /// Pts / DensePts is populated, selected by Rep.  A node merged into
-  /// a copy-graph cycle's representative keeps an empty set; after
+  /// touched (object, field) pair, created on demand.  A node merged
+  /// into a copy-graph cycle's representative keeps an empty set; after
   /// solve() RepOf maps every node straight to the node holding its set.
   std::vector<HybridPtsSet> Pts;                     // by extended node
-  std::vector<BitVector> DensePts;                   // Rep == Dense only
   std::vector<uint32_t> RepOf;                       // by extended node
   std::unordered_map<uint64_t, uint32_t> FieldNodes; // (A,F) -> ext node
 };

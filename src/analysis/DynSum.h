@@ -230,22 +230,9 @@ public:
   /// summary cache proper never needs rewriting.
   void clearTrivialMemo();
 
-  /// Access to the interned field-stack pool (tests, SummaryIO).
+  /// Access to the interned field-stack pool (tests, benches).
   StackPool &fieldStacks() { return FieldStacks; }
   const StackPool &fieldStacks() const { return FieldStacks; }
-
-  /// Read access to the summary cache (SummaryIO serialization).
-  const std::unordered_map<uint64_t, PptaSummary> &summaryCache() const {
-    return Cache;
-  }
-
-  /// Installs a summary for (\p Node, \p Fields, \p S), overwriting any
-  /// existing entry.  \p Fields must come from this instance's
-  /// fieldStacks() pool (SummaryIO re-interns on load).
-  void insertSummary(pag::NodeId Node, StackId Fields, RsmState S,
-                     PptaSummary Summary) {
-    Cache[packSummaryKey(Node, Fields, S)] = std::move(Summary);
-  }
 
   /// Connects this instance to a cross-instance summary exchange (may be
   /// null to disconnect).  On a local cache miss the exchange is
@@ -266,8 +253,7 @@ public:
   /// The shared prefix is then recovered by O(1) pops off the hint
   /// instead of one hash-consing push per element, which is what makes
   /// re-interning a ~30-deep stack cheaper than recomputing its
-  /// summary.  No hint (drainInto's bulk install) interns from the
-  /// empty stack, byte-for-byte the historical behavior.
+  /// summary.  No hint interns from the empty stack.
   PptaSummary internSummary(const PortableSummary &P,
                             StackId Hint = StackPool::empty(),
                             const std::vector<uint32_t> &HintElems = {});

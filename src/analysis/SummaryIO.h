@@ -1,43 +1,41 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistence for DYNSUM summary caches: warm starts across processes.
+/// The DSUM snapshot format: DYNSUM summaries across processes.
 ///
 /// The paper positions DYNSUM for JIT compilers and IDEs; both restart.
-/// SummaryIO lets a session serialize its dynamic summaries on shutdown
-/// and a later session on the *same program* load them back, skipping
-/// every PPTA recomputation for previously queried code.
+/// A session writes its dynamic summaries to a snapshot on shutdown and
+/// a later session on the *same program* attaches it, skipping every
+/// PPTA recomputation for previously queried code.  This file holds
+/// the format's two halves: SummaryFileWriter, the one writer, and
+/// MappedSummaryFile, the one reader.  engine::TieredSummaryStore is
+/// their only user — its save() streams the store through the writer,
+/// and every load is its attachDiskTier() over the reader.
 ///
-/// Summaries are keyed by PAG nodes and field-stack ids.  On disk
-/// (since format v2) node references are CANONICAL: a variable node is
-/// its VarId, an object node is numVars + AllocId.  In-memory numbering
-/// depends on build history — a graph evolved through delta builds
-/// interleaves late-created variables after object nodes — so raw node
-/// ids would silently mean different nodes in the saving and loading
-/// process even for byte-identical programs.  The canonical form
-/// depends only on the program, whose analysis-relevant shape is
-/// fingerprinted into the byte stream: loads onto a different program
-/// are rejected, never silently wrong.  (Field stacks are spelled out
-/// and re-interned on load for the same reason.)
+/// On disk (since format v2) node references are CANONICAL: a variable
+/// node is its VarId, an object node is numVars + AllocId.  In-memory
+/// numbering depends on build history — a graph evolved through delta
+/// builds interleaves late-created variables after object nodes — so
+/// raw node ids would silently mean different nodes in the saving and
+/// loading process even for byte-identical programs.  The canonical
+/// form depends only on the program, whose analysis-relevant shape is
+/// fingerprinted into the byte stream: a snapshot of a different
+/// program is refused, never silently wrong.  (Field stacks are spelled
+/// out for the same reason.)
 ///
 /// Format (little-endian): magic "DSUM", u32 version, u64 fingerprint,
 /// u64 entry count, u64 header checksum, then per entry a length- and
 /// checksum-framed record holding the key triple with the field stack
 /// spelled out element by element, the object list, and the boundary
-/// tuples (again with explicit stacks).  The framing (new in v3) makes
-/// loads corruption-tolerant: a record whose checksum fails is skipped
-/// and reported, a truncated tail stops the scan — everything before
-/// the damage still loads.  Since every summary is an independent
-/// cache entry, a partial load is sound; it just warms less.  The
-/// byte-exact layout — and the versioning rules, including why the
-/// engine's in-memory store generation is deliberately *not* a field —
-/// is specified in docs/SUMMARY_FORMAT.md; any layout change must bump
+/// tuples (again with explicit stacks), then the digest index.  The
+/// framing (new in v3) makes loads corruption-tolerant: a record whose
+/// checksum fails is a miss, a truncated tail loses only the tail.
+/// Since every summary is an independent cache entry, a partial
+/// snapshot is sound; it just warms less.  The byte-exact layout — and
+/// the versioning rules, including why the engine's in-memory store
+/// generation is deliberately *not* a field — is specified in
+/// docs/SUMMARY_FORMAT.md; any layout change must bump
 /// kSummaryFileVersion in lockstep with that document.
-///
-/// saveSummariesFile is crash-safe: the bytes go to a temp file that is
-/// fsync'd and atomically renamed over the target, so a crash (or
-/// kill -9) at any instant leaves either the old file or the new one,
-/// never a torn mix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,35 +67,13 @@ constexpr uint32_t kSummaryFileMagic = 0x4d555344;
 /// versions are refused as unsupported.
 constexpr uint32_t kSummaryFileVersion = 3;
 /// Tag of the optional digest-index section appended after the last v3
-/// record ("DIDX" little-endian).  The index is NOT a format bump: the
-/// v3 streaming loader reads exactly the header's record count and
-/// ignores trailing bytes, so indexed files load everywhere v3 files
-/// do.  The index only accelerates MappedSummaryFile; when it is
-/// missing or damaged the reader rebuilds it by scanning the record
-/// frames.  Layout in docs/SUMMARY_FORMAT.md (digest-index appendix).
+/// record ("DIDX" little-endian).  The index is NOT a format bump: a
+/// reader that stops after the header's record count ignores trailing
+/// bytes, so indexed files load wherever v3 files do.  The index only
+/// accelerates MappedSummaryFile; when it is missing or damaged the
+/// reader rebuilds it by scanning the record frames.  Layout in
+/// docs/SUMMARY_FORMAT.md (digest-index appendix).
 constexpr uint32_t kSummaryIndexMagic = 0x58444944;
-
-/// What a load actually did.  Header-level damage (bad magic, unknown
-/// version, wrong fingerprint, corrupt header) fails the whole load:
-/// Ok is false, Error says why, nothing was merged.  Record-level
-/// damage degrades instead: Ok stays true, the intact prefix/suffix of
-/// records is merged, and RecordsSkipped / Truncated / SkippedRecords
-/// describe what was lost.
-struct SummaryLoadReport {
-  bool Ok = false;
-  /// Summary entries merged into the analysis.
-  uint64_t EntriesLoaded = 0;
-  /// v3 records dropped for a checksum or payload-parse failure.
-  uint64_t RecordsSkipped = 0;
-  /// The file ended mid-record; everything before the tear loaded.
-  bool Truncated = false;
-  /// Why Ok is false, or a note about partial damage.
-  std::string Error;
-  /// Human-readable description of each skipped record (best-effort
-  /// method attribution from the damaged payload), capped to the first
-  /// few for bounded reports.
-  std::vector<std::string> SkippedRecords;
-};
 
 /// A stable fingerprint of everything about \p P the analyses can
 /// observe: the class hierarchy, methods, variables, allocation/call
@@ -105,32 +81,42 @@ struct SummaryLoadReport {
 /// build identical PAGs.
 uint64_t programFingerprint(const ir::Program &P);
 
-/// Serializes \p A's summary cache (tagged with its program's
-/// fingerprint) into a byte buffer.
-std::string serializeSummaries(const DynSumAnalysis &A);
+/// The DSUM v3 writer.  Summaries are added one at a time in the
+/// writing graph's node ids (tuple nodes included) and canonicalized
+/// against that graph as they are encoded, so whoever holds them — the
+/// summary store's hot tier or a record decoded from its disk tier —
+/// writes through this one path.  write() patches in the header (its
+/// record count and checksum cover every record), appends the digest
+/// index, and publishes the file crash-safely: the bytes go to a
+/// sibling temp file that is fsync'd and atomically renamed over the
+/// target, so a crash (or kill -9) at any instant leaves either the old
+/// file or the new one, never a torn mix.
+class SummaryFileWriter {
+public:
+  /// The file is fingerprinted against \p G's program and node
+  /// references are canonicalized against \p G.
+  explicit SummaryFileWriter(const pag::PAG &G);
 
-/// Loads summaries serialized by serializeSummaries into \p A, merging
-/// over its current cache, and reports exactly what happened.  Header
-/// damage merges nothing (Ok false, Error set); record damage is
-/// skipped per record (Ok true, counters set).
-SummaryLoadReport deserializeSummariesReport(DynSumAnalysis &A,
-                                             std::string_view Data);
+  /// Appends one record: the key (\p Node, \p Fields bottom-to-top,
+  /// \p S) and its summary.
+  void add(pag::NodeId Node, const std::vector<uint32_t> &Fields, RsmState S,
+           const PortableSummary &Summary);
 
-/// Boolean convenience over deserializeSummariesReport: true iff the
-/// header was accepted (a degraded-but-partial v3 load still counts).
-bool deserializeSummaries(DynSumAnalysis &A, std::string_view Data);
+  /// Records added so far.
+  uint64_t records() const { return Digests.size(); }
 
-/// Convenience file wrappers over the buffer API.  saveSummariesFile
-/// writes atomically (temp file + fsync + rename) and returns false on
-/// I/O failure with the previous file intact; loadSummariesFile
-/// returns false on I/O failure or a header rejection.
-bool saveSummariesFile(const DynSumAnalysis &A, const std::string &Path);
-bool loadSummariesFile(DynSumAnalysis &A, const std::string &Path);
+  /// Finishes the file and writes it to \p Path; call once.  False on
+  /// I/O failure, with the previous file at \p Path intact.
+  bool write(const std::string &Path);
 
-/// File wrapper that surfaces the full per-record load report; an
-/// unreadable file reports Ok false with Error set.
-SummaryLoadReport loadSummariesFileReport(DynSumAnalysis &A,
-                                          const std::string &Path);
+private:
+  const pag::PAG &Graph;
+  /// The file so far: a 32-byte header placeholder, then the framed
+  /// records.
+  std::string Buf;
+  std::string Payload; ///< per-record scratch
+  std::vector<std::pair<uint64_t, uint64_t>> Digests; ///< (digest, offset)
+};
 
 //===----------------------------------------------------------------------===//
 // Memory-mapped random access (the summary disk tier)
@@ -149,48 +135,30 @@ inline uint64_t summaryRecordDigest(uint32_t CanonicalNode, RsmState S,
   return H;
 }
 
-/// One summary record decoded straight from the mapped file, still in
-/// canonical node references.  The caller (the store's disk tier) owns
-/// the canonical-to-node translation, because only it knows which
-/// graph the summary is being promoted into.
-struct DecodedSummaryRecord {
-  uint32_t CanonicalNode = 0;
-  RsmState State = RsmState::S1;
-  std::vector<uint32_t> Fields;
-  std::vector<ir::AllocId> Objects;
-  struct Tuple {
-    uint32_t CanonicalNode = 0;
-    RsmState State = RsmState::S1;
-    uint32_t FieldsLen = 0;
-  };
-  std::vector<Tuple> Tuples;
-  /// Tuple field stacks, concatenated in tuple order (PortableSummary
-  /// layout).
-  std::vector<uint32_t> FieldData;
-};
-
 /// Read-only random access into one v3 .dsum file through an mmap
-/// (support::MappedFile), keyed by the digest index.
+/// (support::MappedFile), keyed by the digest index.  This is the only
+/// reader: every load of a snapshot is an attach of this file as the
+/// summary store's disk tier.
 ///
-/// open() validates the header exactly like the streaming loader (magic,
-/// version, fingerprint, header checksum — any failure rejects the
-/// file), then locates the digest index from the trailing footer.  A
-/// missing or damaged index is NOT a rejection: the reader falls back
-/// to scanning the record frames and indexing them itself, which is
-/// how pre-index v3 files (and files with a torn-off tail) stay
-/// servable.
+/// open() validates the header (magic, version, fingerprint, header
+/// checksum — any failure rejects the file), then locates the digest
+/// index from the trailing footer.  A missing or damaged index is NOT a
+/// rejection: the reader falls back to scanning the record frames and
+/// indexing them itself, which is how pre-index v3 files (and files
+/// with a torn-off tail) stay servable.
 ///
-/// find() is the probe: one O(1) digest-table chain walk, decoding
-/// candidate records until one's exact key matches.  Record payloads are
-/// checksummed lazily — on the first probe that touches them, not at
-/// open — and a record that fails its CRC (or parses out of bounds) is
-/// remembered as dead and reported as a miss forever after: corruption
-/// degrades to cold recomputation, never to a crash or a damaged
-/// summary.
+/// findBody() is the probe: one O(1) digest-table chain walk, parsing
+/// candidate records until one's exact key matches.  Record payloads
+/// are checksummed lazily — on the first probe that touches them, or
+/// all at once by validateAll() — and a record that fails its CRC (or
+/// parses out of bounds) is remembered as dead and reported as a miss
+/// forever after: corruption degrades to cold recomputation, never to
+/// a crash or a damaged summary.
 ///
-/// Thread safety: find() may be called from any number of threads
-/// concurrently (the lazy validation verdicts are atomics; the mapping
-/// is immutable).  open() must complete before the first find().
+/// Thread safety: findBody() and record() may be called from any
+/// number of threads concurrently (the lazy validation verdicts are
+/// atomics; the mapping is immutable).  open() and validateAll() must
+/// complete before the first probe.
 class MappedSummaryFile {
 public:
   /// Opens and validates \p Path.  Null on rejection with \p Error set:
@@ -203,16 +171,7 @@ public:
   open(const std::string &Path, uint64_t ExpectedFingerprint, size_t NumVars,
        size_t NumAllocs, std::string *Error = nullptr);
 
-  /// Probes for the exact canonical key; true with \p Out filled on a
-  /// hit.  A damaged record is a miss (counted in corruptRecords()).
-  /// \p Out doubles as decode scratch — candidates are decoded into it
-  /// and its capacity is reused across probes, so after a miss its
-  /// contents are unspecified.
-  bool find(uint32_t CanonicalNode, RsmState S,
-            const std::vector<uint32_t> &Fields,
-            DecodedSummaryRecord &Out) const;
-
-  /// The serving-path variant of find(): decodes the matching record's
+  /// Probes for the exact canonical key: decodes the matching record's
   /// BODY straight into a portable summary, materializing nothing else.
   /// \p Digest must be summaryRecordDigest of the key — the caller
   /// computes it up front (so it can prefetch() while other work is in
@@ -220,9 +179,10 @@ public:
   /// element-by-element against \p Fields during the parse (no key
   /// vector is built), and tuple nodes are left CANONICAL for the
   /// caller to translate in place — objects and field runs are
-  /// process-independent already.  Damage semantics match find(): a
-  /// corrupt record is remembered dead and reported as a miss; \p Out
-  /// doubles as scratch, contents unspecified on a miss.
+  /// process-independent already.  A damaged record (CRC or parse
+  /// failure) is remembered dead and reported as a miss, counted in
+  /// corruptRecords(); \p Out doubles as scratch — its capacity is
+  /// reused across probes — so its contents are unspecified on a miss.
   bool findBody(uint64_t Digest, uint32_t CanonicalNode, RsmState S,
                 const std::vector<uint32_t> &Fields,
                 PortableSummary &Out) const;
@@ -248,13 +208,22 @@ public:
   /// the checksums during (untimed, once-per-restart) attach instead of
   /// on the first batch's critical path is a pure win there.  Returns
   /// the number of records marked dead.  Call before the first
-  /// concurrent find(); safe to skip entirely (probes then validate
+  /// concurrent probe; safe to skip entirely (probes then validate
   /// lazily as documented above).
   uint64_t validateAll();
 
   /// Records reachable through the index (intact prefix for a torn
-  /// file).
+  /// file), dead ones included.
   size_t records() const { return Index.size(); }
+
+  /// Decodes record \p Slot (below records()) for a caller that walks
+  /// the file rather than probing a key (the store's save): its key,
+  /// and its body too when \p Body is non-null (tuple nodes left
+  /// canonical).  False for a record no probe would serve: one already
+  /// dead, or one whose checksum or parse fails now (it is remembered
+  /// dead, as a probe would).
+  bool record(size_t Slot, uint32_t &CanonicalNode, RsmState &S,
+              std::vector<uint32_t> &Fields, PortableSummary *Body) const;
 
   /// True when the on-disk digest index was present and valid; false
   /// means the open fell back to a frame scan.
@@ -273,8 +242,15 @@ private:
     uint64_t Offset = 0; ///< record frame (length field) from file start
   };
 
-  /// Decodes and validates the record at \p Slot; false on damage.
-  bool decodeSlot(size_t Slot, DecodedSummaryRecord &Out) const;
+  /// Views slot \p Slot's payload (its frame at \p Offset) in
+  /// \p Payload, streaming the checksum unless the slot's verdict
+  /// \p State already vouches for it.  False, with the slot marked
+  /// dead, on a torn frame or a checksum mismatch.
+  bool framePayload(size_t Slot, uint64_t Offset, uint8_t State,
+                    std::string_view &Payload) const;
+  /// Marks \p Slot dead unless another thread moved it off \p State
+  /// first; counts it in corruptRecords() once.
+  void markDead(size_t Slot, uint8_t State) const;
 
   support::MappedFile Map;
   std::vector<IndexEntry> Index; ///< sorted by Digest

@@ -7,7 +7,6 @@
 
 #include "engine/QueryScheduler.h"
 
-#include "analysis/SummaryIO.h"
 #include "support/Parallel.h"
 #include "support/Timer.h"
 
@@ -129,42 +128,4 @@ BatchResult QueryScheduler::run(const std::vector<pag::NodeId> &Nodes) {
   for (pag::NodeId N : Nodes)
     B.add(N);
   return run(B);
-}
-
-//===----------------------------------------------------------------------===//
-// Warm start through SummaryIO
-//===----------------------------------------------------------------------===//
-//
-// SummaryIO speaks DynSumAnalysis, whose cache is the authoritative
-// on-disk schema (fingerprint checks included).  The engine goes through
-// a staging analysis in both directions rather than duplicating the
-// format: load = deserialize into staging, publish all; save = drain the
-// store into staging, serialize.
-
-bool QueryScheduler::loadSummariesBuffer(std::string_view Data) {
-  DynSumAnalysis Staging(Graph, Opts.Analysis);
-  if (!deserializeSummaries(Staging, Data))
-    return false;
-  StorePtr->seedFrom(Staging);
-  return true;
-}
-
-bool QueryScheduler::loadSummaries(const std::string &Path) {
-  DynSumAnalysis Staging(Graph, Opts.Analysis);
-  if (!loadSummariesFile(Staging, Path))
-    return false;
-  StorePtr->seedFrom(Staging);
-  return true;
-}
-
-std::string QueryScheduler::serializeSummaries() const {
-  DynSumAnalysis Staging(Graph, Opts.Analysis);
-  StorePtr->drainInto(Staging);
-  return analysis::serializeSummaries(Staging);
-}
-
-bool QueryScheduler::saveSummaries(const std::string &Path) const {
-  DynSumAnalysis Staging(Graph, Opts.Analysis);
-  StorePtr->drainInto(Staging);
-  return saveSummariesFile(Staging, Path);
 }

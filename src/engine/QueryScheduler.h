@@ -18,8 +18,10 @@
 /// completes within budget.
 ///
 /// The store persists across batches (later batches warm-start on
-/// earlier ones) and round-trips through SummaryIO for cross-process
-/// warm starts.
+/// earlier ones); cross-process warm starts go through the store
+/// itself — store().save() writes a snapshot and
+/// store().attachDiskTier() loads one.  The scheduler has no
+/// persistence API of its own.
 ///
 /// Epoch handoff: a scheduler normally owns its store, but an
 /// AnalysisService hands every generation's scheduler one long-lived
@@ -36,9 +38,6 @@
 
 #include "engine/QueryBatch.h"
 #include "engine/TieredStore.h"
-
-#include <string>
-#include <string_view>
 
 namespace dynsum {
 namespace engine {
@@ -71,18 +70,6 @@ public:
 
   /// Convenience: batch up \p Nodes and run.
   BatchResult run(const std::vector<pag::NodeId> &Nodes);
-
-  /// Warm start: merges a SummaryIO file/buffer (saved by either this
-  /// engine or a sequential DynSumAnalysis on the same program) into the
-  /// shared store.  Returns false and leaves the store untouched on a
-  /// malformed buffer or a program-fingerprint mismatch.
-  bool loadSummaries(const std::string &Path);
-  bool loadSummariesBuffer(std::string_view Data);
-
-  /// Persists the shared store through SummaryIO for a later process
-  /// (loadable by this engine or by a sequential DynSumAnalysis).
-  bool saveSummaries(const std::string &Path) const;
-  std::string serializeSummaries() const;
 
   /// Threads a batch of \p NumQueries would use under the options.
   unsigned effectiveThreads(size_t NumQueries) const;

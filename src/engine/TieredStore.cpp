@@ -8,6 +8,8 @@
 /// index order and bump the generation inside that critical section.
 /// The disk tier's invalidated-method set is written only there and
 /// read only under a stripe lock, so probes always see a settled set.
+/// save() takes each stripe's shared lock in turn, so a concurrent
+/// promotion lands either before its stripe is written or after.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +38,10 @@ bool TieredSummaryStore::probeDisk(const DiskTier &T, uint64_t RecDigest,
                                    const std::vector<uint32_t> &Fields,
                                    RsmState S, PortableSummary &Out) const {
   // Nodes created after the attach have no canonical translation and
-  // cannot be on disk (the snapshot predates them).
-  if (Node >= T.CanonOf.size())
-    return false;
-  // A record whose key method was invalidated by ANY commit since the
-  // attach is exactly a hot entry beginGeneration would have dropped.
-  if (!T.Invalidated.empty() && T.Invalidated.count(T.MethodOf[Node]) != 0)
+  // cannot be on disk (the snapshot predates them); a record whose key
+  // method was invalidated by ANY commit since the attach is exactly a
+  // hot entry beginGeneration would have dropped.
+  if (!T.serves(Node))
     return false;
   // findBody decodes the record straight into \p Out (capacity reused
   // across probes — the serving path never touches the allocator for
@@ -269,39 +269,6 @@ size_t TieredSummaryStore::size() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Bulk transfer
-//===----------------------------------------------------------------------===//
-
-void TieredSummaryStore::seedFrom(const DynSumAnalysis &A) {
-  const StackPool &Fields = A.fieldStacks();
-  for (const auto &[PackedKey, Summary] : A.summaryCache()) {
-    // packSummaryKey layout: bit 0 = state, bits 1..32 = node,
-    // bits 33..63 = field-stack id.
-    pag::NodeId Node = pag::NodeId((PackedKey >> 1) & 0xffffffffu);
-    RsmState S = (PackedKey & 1) == 0 ? RsmState::S1 : RsmState::S2;
-    StackId F{uint32_t(PackedKey >> 33)};
-    publish(Node, Fields.elements(F), S, A.exportSummary(Summary));
-  }
-}
-
-void TieredSummaryStore::drainInto(DynSumAnalysis &A) const {
-  auto Install = [&](const SummaryEntry &E) {
-    A.insertSummary(E.Node, A.fieldStacks().make(E.Fields), E.State,
-                    A.internSummary(E.Summary));
-  };
-  for (unsigned I = 0; I < Hot.numStripes(); ++I) {
-    std::shared_lock<std::shared_mutex> Lock = Hot.lockShared(I);
-    const SummaryStripe &St = Hot.stripe(I);
-    for (const auto &[D, E] : St.Map) {
-      (void)D;
-      Install(E);
-    }
-    for (const SummaryEntry &E : St.Overflow)
-      Install(E);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Disk tier attach
 //===----------------------------------------------------------------------===//
 
@@ -350,10 +317,10 @@ TieredSummaryStore::attachDiskTier(const std::string &Path,
   // restart, off every query's critical path — means fetchAt never
   // streams a CRC.  Corruption semantics are unchanged: a dead record
   // is a permanent miss, it just gets discovered at attach.
-  T->File->validateAll();
+  uint64_t Dead = T->File->validateAll();
 
   Status.Attached = true;
-  Status.Records = T->File->records();
+  Status.Records = T->File->records() - Dead;
   Status.Indexed = T->File->indexedOnOpen();
 
   // Promotion will push a large slice of these records into the hot
@@ -368,6 +335,57 @@ TieredSummaryStore::attachDiskTier(const std::string &Path,
   std::atomic_store(&Disk, std::shared_ptr<DiskTier>(std::move(T)));
   HasDisk.store(true, std::memory_order_relaxed);
   return Status;
+}
+
+//===----------------------------------------------------------------------===//
+// Save
+//===----------------------------------------------------------------------===//
+
+bool TieredSummaryStore::save(const std::string &Path, const pag::PAG &G,
+                              uint64_t *Records) const {
+  // File the disk tier's live records by the stripe their key would
+  // occupy in the hot tier: the shadow and invalidation checks run
+  // under that stripe's lock, and only a record that passes them is
+  // decoded whole — exactly as a probe would serve it, tuple nodes
+  // resolved into this process's ids.
+  std::shared_ptr<DiskTier> T = std::atomic_load(&Disk);
+  std::vector<std::vector<uint32_t>> SlotsOf(Hot.numStripes());
+  SummaryEntry E;
+  uint32_t Canonical = 0;
+  for (size_t Slot = 0; T && Slot < T->File->records(); ++Slot) {
+    if (!T->File->record(Slot, Canonical, E.State, E.Fields, nullptr))
+      continue;
+    E.Node = T->NodeOfCanon[Canonical];
+    uint64_t D = summaryKeyDigest(E.Node, E.Fields, E.State);
+    SlotsOf[Hot.stripeFor(D)].push_back(uint32_t(Slot));
+  }
+
+  SummaryFileWriter W(G);
+  for (unsigned I = 0; I < Hot.numStripes(); ++I) {
+    std::shared_lock<std::shared_mutex> Lock = Hot.lockShared(I);
+    const SummaryStripe &St = Hot.stripe(I);
+    for (const auto &[D, Entry] : St.Map) {
+      (void)D;
+      W.add(Entry.Node, Entry.Fields, Entry.State, Entry.Summary);
+    }
+    for (const SummaryEntry &Entry : St.Overflow)
+      W.add(Entry.Node, Entry.Fields, Entry.State, Entry.Summary);
+    for (uint32_t Slot : SlotsOf[I]) {
+      if (!T->File->record(Slot, Canonical, E.State, E.Fields, nullptr))
+        continue;
+      E.Node = T->NodeOfCanon[Canonical];
+      uint64_t D = summaryKeyDigest(E.Node, E.Fields, E.State);
+      if (!T->serves(E.Node) || St.find(D, E.Node, E.Fields, E.State) ||
+          !T->File->record(Slot, Canonical, E.State, E.Fields, &E.Summary))
+        continue;
+      for (PortableSummary::Tuple &Tp : E.Summary.Tuples)
+        Tp.Node = T->NodeOfCanon[Tp.Node];
+      W.add(E.Node, E.Fields, E.State, E.Summary);
+    }
+  }
+  if (Records)
+    *Records = W.records();
+  return W.write(Path);
 }
 
 //===----------------------------------------------------------------------===//

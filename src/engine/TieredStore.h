@@ -26,6 +26,13 @@
 ///     tier, and returned.  The first query batch after a warm restart
 ///     drains from this tier instead of recomputing.
 ///
+/// Persistence is the store's own, and it has one path each way.
+/// save() writes a snapshot of everything a probe would serve — the hot
+/// tier plus every disk record no hot entry shadows and no commit
+/// invalidated — and every load is attachDiskTier().  A snapshot
+/// therefore keeps what a process attached but never touched, and a
+/// chain of restarts stays as warm as its first run.
+///
 /// Generations: every hot entry belongs to the store's current
 /// generation.  A program commit calls beginGeneration() — dropping
 /// the summaries an incremental::InvalidationPlan names and bumping
@@ -120,17 +127,6 @@ public:
   /// generation.
   void clear();
 
-  /// Publishes every summary cached in \p A into the current generation
-  /// (bulk warm-up, e.g. after SummaryIO deserialization into a staging
-  /// analysis).
-  void seedFrom(const analysis::DynSumAnalysis &A);
-
-  /// Installs every hot summary into \p A's cache (bulk export, e.g.
-  /// before SummaryIO serialization from a staging analysis).  Disk
-  /// records that were never promoted are NOT drained: they are
-  /// already on disk.
-  void drainInto(analysis::DynSumAnalysis &A) const;
-
   /// Snapshot of the lifetime operation counters, summed over stripes.
   StoreCounters counters() const;
 
@@ -152,8 +148,28 @@ public:
 
   /// Attaches \p Path as the read-only disk tier, translating against
   /// \p G (the current generation's graph; its program fingerprint must
-  /// match the file's).  Replaces any previously attached tier.
+  /// match the file's).  Replaces any previously attached tier.  This is
+  /// every load of a snapshot: nothing is read eagerly, and Records
+  /// counts what probes may serve (records whose checksum failed are
+  /// excluded).
   DiskTierStatus attachDiskTier(const std::string &Path, const pag::PAG &G);
+
+  /// Saves everything a probe would serve as a DSUM v3 snapshot at
+  /// \p Path: every hot entry, plus every disk record no hot entry
+  /// shadows, whose key method no commit since the attach invalidated,
+  /// and which is not dead.  Both kinds stream through the one
+  /// analysis::SummaryFileWriter, canonicalized against \p G — the
+  /// current generation's graph, whose program fingerprints the file.
+  /// A disk record is decoded into \p G's node ids exactly as a probe
+  /// would serve it, so the tier survives any number of save/attach
+  /// rounds.  Nothing is promoted, and no fetch, publish or disk-hit
+  /// counter moves.  The write is
+  /// crash-safe (temp file + rename), so \p Path may be the attached
+  /// file itself: the tier keeps reading its old mapping.  Returns
+  /// false on I/O failure; \p Records, when given, receives the number
+  /// of records written.
+  bool save(const std::string &Path, const pag::PAG &G,
+            uint64_t *Records = nullptr) const;
 
   bool hasDiskTier() const { return std::atomic_load(&Disk) != nullptr; }
 
@@ -189,6 +205,14 @@ private:
     std::vector<ir::MethodId> MethodOf;
     /// Union of every InvalidationPlan's methods since attach.
     std::unordered_set<ir::MethodId> Invalidated;
+
+    /// Whether a record keyed at \p Node may still be served: the node
+    /// existed at attach and no commit since invalidated its method.
+    /// Caller holds a stripe lock (Invalidated's read discipline).
+    bool serves(pag::NodeId Node) const {
+      return Node < CanonOf.size() &&
+             (Invalidated.empty() || Invalidated.count(MethodOf[Node]) == 0);
+    }
   };
 
   /// Computes the on-disk record digest for \p Node's key under tier

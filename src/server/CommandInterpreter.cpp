@@ -503,10 +503,11 @@ CommandStatus CommandInterpreter::execute(const std::string &Line,
     return CommandStatus::Ok;
   }
   if ((Cmd == "save" || Cmd == "load") && W.size() == 2) {
-    bool Ok = Cmd == "save" ? S.saveSummaries(W[1]) : S.loadSummaries(W[1]);
+    uint64_t Records = 0;
+    bool Ok = Cmd == "save" ? S.saveSummaries(W[1], &Records)
+                            : S.loadSummaries(W[1], &Records);
     if (Ok) {
-      Out << Cmd << ": " << uint64_t(S.stats().StoreSize) << " summaries ("
-          << W[1] << ")\n";
+      Out << Cmd << ": " << Records << " summaries (" << W[1] << ")\n";
       return CommandStatus::Ok;
     }
     Err << "error: cannot " << Cmd << " " << W[1] << '\n';

@@ -7,7 +7,6 @@
 
 #include "service/AnalysisService.h"
 
-#include "analysis/SummaryIO.h"
 #include "engine/TieredStore.h"
 #include "ir/Validator.h"
 #include "support/FaultInjection.h"
@@ -610,30 +609,27 @@ engine::QueryOutcome AnalysisService::queryVar(ir::VarId V,
 // Persistence
 //===----------------------------------------------------------------------===//
 //
-// Both directions stage through a DynSumAnalysis over the current
-// generation's graph, exactly like QueryScheduler's warm-start path:
-// SummaryIO's DynSum cache is the authoritative on-disk schema.
-// Pending edits are committed first so the file's program fingerprint
-// always describes the summaries actually saved/loaded.
+// The store owns both directions: a save streams it (hot tier plus the
+// disk records it still serves) into a snapshot, and a load attaches a
+// snapshot as its disk tier.  Pending edits are committed first so the
+// file's program fingerprint describes the current generation's graph.
 
-bool AnalysisService::saveSummaries(const std::string &Path) {
+bool AnalysisService::saveSummaries(const std::string &Path,
+                                    uint64_t *Records) {
   std::lock_guard<std::mutex> Lock(EditMutex);
   commitLocked(CommitMode::Delta);
-  std::shared_ptr<const Generation> Gen = current();
-  analysis::DynSumAnalysis Staging(*Gen->Built->Graph, Opts.Engine.Analysis);
-  Store.drainInto(Staging);
-  return analysis::saveSummariesFile(Staging, Path);
+  return Store.save(Path, *current()->Built->Graph, Records);
 }
 
-bool AnalysisService::loadSummaries(const std::string &Path) {
+bool AnalysisService::loadSummaries(const std::string &Path,
+                                    uint64_t *Records) {
   std::lock_guard<std::mutex> Lock(EditMutex);
   commitLocked(CommitMode::Delta);
-  std::shared_ptr<const Generation> Gen = current();
-  analysis::DynSumAnalysis Staging(*Gen->Built->Graph, Opts.Engine.Analysis);
-  if (!analysis::loadSummariesFile(Staging, Path))
-    return false;
-  Store.seedFrom(Staging); // publishes at the current generation
-  return true;
+  engine::TieredSummaryStore::DiskTierStatus St =
+      Store.attachDiskTier(Path, *current()->Built->Graph);
+  if (Records)
+    *Records = St.Records;
+  return St.Attached;
 }
 
 //===----------------------------------------------------------------------===//

@@ -77,9 +77,13 @@
 /// them.  Every commit drops exactly the summaries its invalidation
 /// plan names, nothing more, and nothing runs after it: the rest stay
 /// warm until a later edit invalidates them.  They survive restarts
-/// through saveSummaries()/loadSummaries() (SummaryIO;
-/// fingerprint-checked against the current program), so a reopened
-/// service starts warm.
+/// through the store's one persistence path: saveSummaries() (and the
+/// shutdown snapshot) writes everything the store would serve — the hot
+/// tier plus the attached snapshot's records no commit invalidated —
+/// and loadSummaries() (and WarmFromDiskPath) attaches a snapshot as
+/// the store's disk tier, fingerprint-checked against the current
+/// program.  A reopened service starts warm, after any number of
+/// restarts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -438,17 +442,21 @@ public:
   // Persistence (warm restarts)
   //===------------------------------------------------------------------===//
 
-  /// Commits pending edits, then saves the shared store through
-  /// SummaryIO (fingerprinted against the committed program).  A later
-  /// service constructed over an identical program loads it to start
-  /// warm.  Returns false on I/O failure.
-  bool saveSummaries(const std::string &Path);
+  /// Commits pending edits, then saves the summary store as a DSUM
+  /// snapshot (TieredSummaryStore::save: the hot tier plus every disk
+  /// record it still serves), fingerprinted against the committed
+  /// program.  A later service over an identical program loads it to
+  /// start warm.  Returns false on I/O failure; \p Records, when given,
+  /// receives the number of summaries written.
+  bool saveSummaries(const std::string &Path, uint64_t *Records = nullptr);
 
-  /// Commits pending edits, then merges a SummaryIO file into the
-  /// shared store at the current generation.  Returns false — leaving
-  /// the store untouched — on a malformed file or a program-fingerprint
-  /// mismatch.
-  bool loadSummaries(const std::string &Path);
+  /// Commits pending edits, then attaches a snapshot as the store's
+  /// disk tier (TieredSummaryStore::attachDiskTier — nothing is read
+  /// eagerly; queries promote what they probe).  Returns false, leaving
+  /// the store untouched, on an unreadable or damaged header or a
+  /// program-fingerprint mismatch; \p Records, when given, receives the
+  /// number of summaries the tier serves.
+  bool loadSummaries(const std::string &Path, uint64_t *Records = nullptr);
 
   //===------------------------------------------------------------------===//
   // Introspection

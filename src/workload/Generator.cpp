@@ -44,7 +44,7 @@ std::string nameOf(const char *Prefix, size_t I) {
   return std::string(Buf);
 }
 
-uint64_t seedFromName(const std::string &Name, uint64_t Extra) {
+uint64_t hashName(const std::string &Name, uint64_t Extra) {
   uint64_t H = 0x9e3779b97f4a7c15ull ^ Extra;
   for (char C : Name)
     H = hashCombine(H, uint64_t(uint8_t(C)));
@@ -123,7 +123,7 @@ class Generation {
 public:
   Generation(const BenchmarkSpec &Spec, const GenOptions &Opts)
       : Spec(Spec), Opts(Opts), P(makePlan(Spec, Opts)),
-        R(seedFromName(Spec.Name, Opts.Seed)) {}
+        R(hashName(Spec.Name, Opts.Seed)) {}
 
   std::unique_ptr<Program> run() {
     initQuotas();
@@ -483,7 +483,7 @@ private:
         // safe already — the regime where the paper's REFINEPTS
         // refinement pays off.
         size_t Half = std::max<size_t>(1, P.NumContainerMethods / 4);
-        size_t Pair = seedFromName(Cls, 17) % Half;
+        size_t Pair = hashName(Cls, 17) % Half;
         B.call(M, "", boxPut(Pair), {CastBox, Mixed});
         std::string Loaded = Fresh();
         B.call(M, Loaded, boxGet(Pair), {CastBox});

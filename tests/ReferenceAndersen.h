@@ -120,20 +120,12 @@ sameFixpoint(const pag::PAG &G, const analysis::AndersenAnalysis &A,
   return ::testing::AssertionSuccess();
 }
 
-/// Solves \p G with both points-to set representations and checks each
-/// against the reference.
+/// Solves \p G and checks the fixpoint against the reference.
 inline ::testing::AssertionResult
 solvesToReference(const pag::PAG &G, const ReferenceAndersen &Ref) {
-  for (analysis::PtsRep Rep :
-       {analysis::PtsRep::Hybrid, analysis::PtsRep::Dense}) {
-    analysis::AndersenAnalysis A(G, Rep);
-    A.solve();
-    ::testing::AssertionResult R = sameFixpoint(G, A, Ref);
-    if (!R)
-      return R << (Rep == analysis::PtsRep::Hybrid ? " (hybrid)"
-                                                   : " (dense)");
-  }
-  return ::testing::AssertionSuccess();
+  analysis::AndersenAnalysis A(G);
+  A.solve();
+  return sameFixpoint(G, A, Ref);
 }
 
 /// Targets per call site, sorted.

@@ -5,12 +5,11 @@
 /// must project onto exactly the allocation sites the sequential
 /// DYNSUM path produces, budget exhaustion must stay confined to the
 /// query that hit it, and the shared summary store must round-trip
-/// through SummaryIO.
+/// through its own save and attach.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/DynSum.h"
-#include "analysis/SummaryIO.h"
 #include "clients/Client.h"
 #include "engine/QueryScheduler.h"
 #include "pag/PAGBuilder.h"
@@ -200,66 +199,91 @@ TEST(EngineTest, BudgetExhaustionDoesNotPoisonOtherShards) {
 }
 
 //===----------------------------------------------------------------------===//
-// (c) Warm start round-trips through SummaryIO
+// (c) Warm start round-trips through the store's save and attach
 //===----------------------------------------------------------------------===//
 
-TEST(EngineTest, WarmStartRoundTripsThroughSummaryIO) {
+TEST(EngineTest, WarmStartRoundTripsThroughTheStore) {
   GenFixture F("jython");
   EngineOptions EO;
   EO.NumThreads = 4;
+  std::string Path = ::testing::TempDir() + "/engine_warm.dsum";
 
   QueryScheduler First(*F.Built.Graph, EO);
   BatchResult Cold = First.run(F.Nodes);
   ASSERT_GT(First.store().size(), 0u);
-
-  std::string Buffer = First.serializeSummaries();
-  ASSERT_FALSE(Buffer.empty());
+  uint64_t Saved = 0;
+  ASSERT_TRUE(First.store().save(Path, *F.Built.Graph, &Saved));
+  EXPECT_EQ(Saved, First.store().size());
 
   QueryScheduler Second(*F.Built.Graph, EO);
-  ASSERT_TRUE(Second.loadSummariesBuffer(Buffer));
-  EXPECT_EQ(Second.store().size(), First.store().size());
+  TieredSummaryStore::DiskTierStatus St =
+      Second.store().attachDiskTier(Path, *F.Built.Graph);
+  ASSERT_TRUE(St.Attached) << St.Error;
+  EXPECT_EQ(St.Records, Saved);
 
   BatchResult Warm = Second.run(F.Nodes);
   EXPECT_EQ(Warm.Stats.SummariesComputed, 0u);
   ASSERT_EQ(Warm.Outcomes.size(), Cold.Outcomes.size());
   for (size_t I = 0; I < Cold.Outcomes.size(); ++I)
     EXPECT_EQ(Warm.Outcomes[I].AllocSites, Cold.Outcomes[I].AllocSites) << I;
+  std::remove(Path.c_str());
 }
 
-TEST(EngineTest, WarmStartInteroperatesWithSequentialSummaryIO) {
+/// A snapshot is a snapshot whoever wrote it: the engine's store and a
+/// sequential DYNSUM instance's exchange store read each other's files.
+TEST(EngineTest, WarmStartInteroperatesWithSequentialDynSum) {
   GenFixture F("jython");
-
-  // Engine store -> sequential analysis.
+  std::string Path = ::testing::TempDir() + "/engine_seq.dsum";
   EngineOptions EO;
   EO.NumThreads = 2;
+  std::vector<QueryOutcome> Expected =
+      runSequential(*F.Built.Graph, F.Nodes, AnalysisOptions());
+
+  // Engine store -> sequential analysis.
   QueryScheduler S(*F.Built.Graph, EO);
   (void)S.run(F.Nodes);
-  std::string FromEngine = S.serializeSummaries();
+  ASSERT_TRUE(S.store().save(Path, *F.Built.Graph));
+  TieredSummaryStore SeqStore;
+  ASSERT_TRUE(SeqStore.attachDiskTier(Path, *F.Built.Graph).Attached);
   DynSumAnalysis Seq(*F.Built.Graph, AnalysisOptions());
-  ASSERT_TRUE(deserializeSummaries(Seq, FromEngine));
-  EXPECT_EQ(Seq.cacheSize(), S.store().size());
+  Seq.setSummaryExchange(&SeqStore);
+  for (size_t I = 0; I < F.Nodes.size(); ++I)
+    EXPECT_EQ(Seq.query(F.Nodes[I]).allocSites(), Expected[I].AllocSites);
+  EXPECT_EQ(Seq.summariesComputed(), 0u);
 
   // Sequential analysis -> engine store.
+  TieredSummaryStore ProducerStore;
   DynSumAnalysis Producer(*F.Built.Graph, AnalysisOptions());
+  Producer.setSummaryExchange(&ProducerStore);
   for (pag::NodeId N : F.Nodes)
     (void)Producer.query(N);
   ASSERT_GT(Producer.cacheSize(), 0u);
+  uint64_t Saved = 0;
+  ASSERT_TRUE(ProducerStore.save(Path, *F.Built.Graph, &Saved));
+  EXPECT_EQ(Saved, Producer.cacheSize());
   QueryScheduler Fresh(*F.Built.Graph, EO);
-  ASSERT_TRUE(Fresh.loadSummariesBuffer(serializeSummaries(Producer)));
-  EXPECT_EQ(Fresh.store().size(), Producer.cacheSize());
+  ASSERT_EQ(Fresh.store().attachDiskTier(Path, *F.Built.Graph).Records, Saved);
+  BatchResult Warm = Fresh.run(F.Nodes);
+  EXPECT_EQ(Warm.Stats.SummariesComputed, 0u);
+  for (size_t I = 0; I < F.Nodes.size(); ++I)
+    EXPECT_EQ(Warm.Outcomes[I].AllocSites, Expected[I].AllocSites) << I;
+  std::remove(Path.c_str());
 }
 
 TEST(EngineTest, WarmStartRejectsDifferentProgram) {
   GenFixture A("jython");
   GenFixture B("soot-c");
+  std::string Path = ::testing::TempDir() + "/engine_other.dsum";
 
   QueryScheduler SA(*A.Built.Graph, EngineOptions());
   (void)SA.run(A.Nodes);
-  std::string Buffer = SA.serializeSummaries();
+  ASSERT_TRUE(SA.store().save(Path, *A.Built.Graph));
 
   QueryScheduler SB(*B.Built.Graph, EngineOptions());
-  EXPECT_FALSE(SB.loadSummariesBuffer(Buffer));
+  EXPECT_FALSE(SB.store().attachDiskTier(Path, *B.Built.Graph).Attached);
+  EXPECT_FALSE(SB.store().hasDiskTier());
   EXPECT_EQ(SB.store().size(), 0u);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 
 #include "analysis/SummaryIO.h"
 #include "ir/Parser.h"
+#include "support/FaultInjection.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 #include <unordered_set>
 
@@ -411,17 +414,22 @@ TEST(AnalysisServiceTest, SummariesPersistAcrossRestart) {
     ASSERT_TRUE(S.saveSummaries(Path));
   }
 
-  // A "restarted" service over an identical program starts warm.
+  // A "restarted" service over an identical program starts warm: the
+  // load attaches the file as the disk tier and reads nothing eagerly.
   AnalysisService S(makeWorkload());
-  ASSERT_TRUE(S.loadSummaries(Path));
-  ASSERT_GT(S.stats().StoreSize, 0u);
+  uint64_t Records = 0;
+  ASSERT_TRUE(S.loadSummaries(Path, &Records));
+  EXPECT_GT(Records, 0u);
+  EXPECT_TRUE(S.stats().DiskTierAttached);
+  EXPECT_EQ(S.stats().StoreSize, 0u);
   ServiceBatchResult Warm = S.queryVars(Probe);
   EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
       << "every summary must come from the warm-start file";
 
-  // A different program rejects the file.
+  // A different program refuses the file.
   AnalysisService Other(makeWorkload(/*Seed=*/8));
   EXPECT_FALSE(Other.loadSummaries(Path));
+  EXPECT_FALSE(Other.stats().DiskTierAttached);
   EXPECT_EQ(Other.stats().StoreSize, 0u);
   std::remove(Path.c_str());
 }
@@ -457,7 +465,7 @@ TEST(AnalysisServiceTest, SummariesPersistAcrossDivergentGraphLineages) {
     applyScriptEdit(*Replayed, I);
   AnalysisService Fresh(std::move(Replayed));
   ASSERT_TRUE(Fresh.loadSummaries(Path));
-  ASSERT_GT(Fresh.stats().StoreSize, 0u);
+  EXPECT_TRUE(Fresh.stats().DiskTierAttached);
   ServiceBatchResult Warm = Fresh.queryVars(Probe);
   EXPECT_EQ(Warm.Stats.SummariesComputed, 0u)
       << "canonical node ids must resolve across lineages";
@@ -812,5 +820,247 @@ TEST(AnalysisServiceTest, EditAfterWarmAttachInvalidatesDiskRecords) {
   // refused a stale disk record.
   ServiceStats After = S.stats();
   EXPECT_GT(After.Store.DiskProbes, 0u);
+  std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Restart chains: a snapshot keeps what its process attached
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The snapshot loop of dynsum_serverd and `dynsum_tool --snapshot`:
+/// attach \p Path on start, save back to it on shutdown.
+ServiceOptions snapshotLoop(const std::string &Path) {
+  ServiceOptions SO;
+  SO.SnapshotOnShutdownPath = Path;
+  SO.WarmFromDiskPath = Path;
+  return SO;
+}
+
+} // namespace
+
+/// Three starts over one snapshot with no edit.  The second start asks
+/// a single probe, so its shutdown snapshot keeps the rest only if a
+/// save writes the attached records nothing promoted; the third start
+/// then computes nothing and answers exactly as cold.
+TEST(AnalysisServiceTest, WarmEqualsColdAcrossThreeStarts) {
+  std::string Path = ::testing::TempDir() + "/dynsum_three_starts.dsum";
+  std::remove(Path.c_str());
+  std::vector<ir::VarId> Probe;
+  std::vector<std::vector<ir::AllocId>> Cold;
+  {
+    AnalysisService S(makeWorkload(), snapshotLoop(Path));
+    Probe = probeVariables(S.program(), 61);
+    ASSERT_GT(Probe.size(), 8u);
+    ServiceBatchResult R = S.queryVars(Probe);
+    ASSERT_GT(R.Stats.SummariesComputed, 0u);
+    for (const engine::QueryOutcome &O : R.Outcomes)
+      Cold.push_back(O.AllocSites);
+  }
+  {
+    AnalysisService S(makeWorkload(), snapshotLoop(Path));
+    ASSERT_TRUE(S.stats().DiskTierAttached);
+    ServiceBatchResult R = S.queryVars({Probe.front()});
+    EXPECT_EQ(R.Stats.SummariesComputed, 0u);
+    EXPECT_EQ(R.Outcomes[0].AllocSites, Cold[0]);
+  }
+  {
+    AnalysisService S(makeWorkload(), snapshotLoop(Path));
+    ASSERT_TRUE(S.stats().DiskTierAttached);
+    ServiceBatchResult R = S.queryVars(Probe);
+    EXPECT_EQ(R.Stats.SummariesComputed, 0u)
+        << "the second start's snapshot must keep what it never promoted";
+    ASSERT_EQ(R.Outcomes.size(), Probe.size());
+    for (size_t I = 0; I < Probe.size(); ++I)
+      EXPECT_EQ(R.Outcomes[I].AllocSites, Cold[I]) << "probe " << I;
+  }
+  std::remove(Path.c_str());
+}
+
+/// The serverd smoke's three starts in process, over the golden
+/// corpus's Figure 2: the first start answers s1 and s2, the second
+/// only s1, and the third answers s2 from the second one's snapshot
+/// without computing a summary.
+TEST(AnalysisServiceTest, Figure2ThirdStartComputesNothing) {
+  std::ifstream In(std::string(DYNSUM_TESTS_DIR) +
+                   "/golden/dsum_corpus/figure2.ir");
+  ASSERT_TRUE(In.good());
+  std::stringstream Src;
+  Src << In.rdbuf();
+  std::string Source = Src.str();
+  auto VarOf = [](const ir::Program &P, std::string_view Name) {
+    ir::MethodId M = P.findMethod(P.findClass(P.names().lookup("Main")),
+                                  P.names().lookup("main"));
+    for (const ir::Variable &V : P.variables())
+      if (V.Owner == M && V.Name == P.names().lookup(Name))
+        return V.Id;
+    ADD_FAILURE() << "no Main.main." << Name;
+    return ir::VarId(ir::kNone);
+  };
+
+  std::string Path = ::testing::TempDir() + "/dynsum_figure2_starts.dsum";
+  std::remove(Path.c_str());
+  std::vector<ir::AllocId> S2Cold;
+  {
+    AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
+    S.queryVar(VarOf(S.program(), "s1"));
+    engine::QueryOutcome O = S.queryVar(VarOf(S.program(), "s2"));
+    ASSERT_FALSE(O.AllocSites.empty());
+    S2Cold = O.AllocSites;
+  }
+  {
+    AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
+    ASSERT_TRUE(S.stats().DiskTierAttached);
+    S.queryVar(VarOf(S.program(), "s1"));
+  }
+  {
+    AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
+    ServiceBatchResult R = S.queryVars({VarOf(S.program(), "s2")});
+    EXPECT_EQ(R.Stats.SummariesComputed, 0u);
+    EXPECT_GT(R.Stats.SharedHits, 0u);
+    EXPECT_EQ(R.Outcomes[0].AllocSites, S2Cold);
+  }
+  std::remove(Path.c_str());
+}
+
+/// Three starts with an edit committed in the second: its snapshot is
+/// fingerprinted against the edited program, and the disk records it
+/// carries over are re-canonicalized for the edited graph (the edit
+/// adds variables, shifting every object's canonical id).  A third
+/// start over the edited program answers exactly as a cold recompute of
+/// it, and computes less than a cold start.
+TEST(AnalysisServiceTest, RestartChainWithCommitStaysExact) {
+  std::string Path = ::testing::TempDir() + "/dynsum_chain_commit.dsum";
+  std::remove(Path.c_str());
+  std::vector<ir::VarId> Probe;
+  uint64_t ColdComputed = 0;
+  {
+    AnalysisService S(makeWorkload(), snapshotLoop(Path));
+    Probe = probeVariables(S.program(), 61);
+    ColdComputed = S.queryVars(Probe).Stats.SummariesComputed;
+    ASSERT_GT(ColdComputed, 0u);
+  }
+  {
+    AnalysisService S(makeWorkload(), snapshotLoop(Path));
+    ASSERT_TRUE(S.stats().DiskTierAttached);
+    S.queryVars({Probe.front()});
+    S.editProgram([](ir::Program &Q) { return applyScriptEdit(Q, 0); });
+    S.submitCommit().wait();
+    S.queryVars({Probe.back()});
+  }
+  auto Edited = makeWorkload();
+  applyScriptEdit(*Edited, 0);
+  std::vector<std::vector<ir::AllocId>> Expected = coldAnswers(*Edited, Probe);
+  {
+    AnalysisService S(std::move(Edited), snapshotLoop(Path));
+    ASSERT_TRUE(S.stats().DiskTierAttached)
+        << "the snapshot describes the committed program";
+    ServiceBatchResult R = S.queryVars(Probe);
+    ASSERT_EQ(R.Outcomes.size(), Probe.size());
+    for (size_t I = 0; I < Probe.size(); ++I)
+      EXPECT_EQ(R.Outcomes[I].AllocSites, Expected[I]) << "probe " << I;
+    EXPECT_LT(R.Stats.SummariesComputed, ColdComputed);
+    EXPECT_GT(S.stats().Store.DiskHits, 0u);
+  }
+  std::remove(Path.c_str());
+}
+
+/// A save reads the store without moving it: the hot tier's size and
+/// every counter stay put, and the snapshot holds the hot entries plus
+/// every attached record no hot entry shadows and no checksum killed.
+TEST(AnalysisServiceTest, SaveWithDiskTierDoesNotPromote) {
+  std::string First = ::testing::TempDir() + "/dynsum_save_first.dsum";
+  std::string Second = ::testing::TempDir() + "/dynsum_save_second.dsum";
+  std::vector<ir::VarId> Probe;
+  {
+    AnalysisService S(makeWorkload());
+    Probe = probeVariables(S.program(), 61);
+    S.queryVars(Probe);
+    ASSERT_TRUE(S.saveSummaries(First));
+  }
+  // Kill one record: byte 44 sits inside the first record's payload.
+  {
+    std::fstream F(First, std::ios::in | std::ios::out | std::ios::binary);
+    F.seekg(44);
+    char C = 0;
+    F.get(C);
+    F.seekp(44);
+    F.put(char(C ^ 0x5a));
+  }
+
+  AnalysisService S(makeWorkload());
+  uint64_t Attached = 0;
+  ASSERT_TRUE(S.loadSummaries(First, &Attached));
+  S.queryVars({Probe[0], Probe[1], Probe[2]});
+  ServiceStats Before = S.stats();
+  ASSERT_GT(Before.StoreSize, 0u);
+  ASSERT_GT(Before.Store.Promoted, 0u);
+
+  uint64_t Saved = 0;
+  ASSERT_TRUE(S.saveSummaries(Second, &Saved));
+  ServiceStats After = S.stats();
+  EXPECT_EQ(After.StoreSize, Before.StoreSize);
+  const StoreCounters &B = Before.Store, &A = After.Store;
+  EXPECT_EQ(A.Fetches, B.Fetches);
+  EXPECT_EQ(A.Hits, B.Hits);
+  EXPECT_EQ(A.StaleFetches, B.StaleFetches);
+  EXPECT_EQ(A.Publishes, B.Publishes);
+  EXPECT_EQ(A.StalePublishes, B.StalePublishes);
+  EXPECT_EQ(A.Invalidated, B.Invalidated);
+  EXPECT_EQ(A.LockContended, B.LockContended);
+  EXPECT_EQ(A.DiskProbes, B.DiskProbes);
+  EXPECT_EQ(A.DiskHits, B.DiskHits);
+  EXPECT_EQ(A.DiskCorrupt, B.DiskCorrupt);
+  EXPECT_EQ(A.DiskStale, B.DiskStale);
+  EXPECT_EQ(A.Promoted, B.Promoted);
+
+  // Every hot entry was promoted from a live record (nothing new was
+  // computed), so each shadows exactly one attached record.
+  EXPECT_EQ(B.Publishes, 0u);
+  EXPECT_EQ(Saved, Before.StoreSize + (Attached - B.Promoted));
+  AnalysisService Next(makeWorkload());
+  uint64_t Reattached = 0;
+  ASSERT_TRUE(Next.loadSummaries(Second, &Reattached));
+  EXPECT_EQ(Reattached, Saved);
+  EXPECT_EQ(Next.stats().Store.DiskCorrupt, 0u);
+  std::remove(First.c_str());
+  std::remove(Second.c_str());
+}
+
+/// The snapshot loop saves over the very file its disk tier maps: the
+/// write goes to a temp file renamed over the path, so the tier keeps
+/// serving its old mapping and the new file attaches.  A torn save
+/// leaves the previous file attachable.
+TEST(AnalysisServiceTest, SaveOverAttachedFileKeepsBothUsable) {
+  std::string Path = ::testing::TempDir() + "/dynsum_save_over.dsum";
+  std::vector<ir::VarId> Probe;
+  uint64_t Full = 0;
+  {
+    AnalysisService S(makeWorkload());
+    Probe = probeVariables(S.program(), 61);
+    S.queryVars(Probe);
+    ASSERT_TRUE(S.saveSummaries(Path, &Full));
+  }
+  AnalysisService S(makeWorkload());
+  ASSERT_TRUE(S.loadSummaries(Path));
+  uint64_t Saved = 0;
+  ASSERT_TRUE(S.saveSummaries(Path, &Saved));
+  EXPECT_EQ(Saved, Full) << "an untouched tier is saved whole";
+  EXPECT_EQ(S.queryVars(Probe).Stats.SummariesComputed, 0u)
+      << "the tier still serves its old mapping";
+
+  support::FaultSpec Torn;
+  Torn.Kind = support::FaultKind::TornWrite;
+  Torn.Param = 100;
+  support::armFault("save.write", Torn);
+  EXPECT_FALSE(S.saveSummaries(Path));
+  support::clearFaults();
+
+  AnalysisService Next(makeWorkload());
+  uint64_t Records = 0;
+  ASSERT_TRUE(Next.loadSummaries(Path, &Records));
+  EXPECT_EQ(Records, Full);
+  EXPECT_EQ(Next.queryVars(Probe).Stats.SummariesComputed, 0u);
   std::remove(Path.c_str());
 }

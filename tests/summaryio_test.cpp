@@ -1,32 +1,40 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of summary-cache persistence: round trips, warm-start step
-/// savings, and rejection of mismatched or corrupt inputs.
+/// Tests of the DSUM snapshot format: the one writer
+/// (SummaryFileWriter, driven by TieredSummaryStore::save) and the one
+/// reader (MappedSummaryFile, behind TieredSummaryStore::attachDiskTier)
+/// — round trips, warm-start step savings, and refusal or per-record
+/// degradation on mismatched or damaged files, including the checked-in
+/// golden corpus.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/SummaryIO.h"
 
+#include "clients/Client.h"
 #include "ir/Parser.h"
 #include "pag/PAGBuilder.h"
 #include "support/FaultInjection.h"
 #include "workload/Generator.h"
 
+#include "RecordingStore.h"
 #include "TestPrograms.h"
 
+#include <algorithm>
 #include <fstream>
 #include <gtest/gtest.h>
-#include <set>
 #include <sstream>
-#include <tuple>
 
 using namespace dynsum;
 using namespace dynsum::analysis;
+using engine::TieredSummaryStore;
 
 namespace {
 
-/// Builds the Figure 2 program with its PAG and a DYNSUM instance.
+/// A program with its PAG and a DYNSUM instance exchanging summaries
+/// with a recording store — the shape every saving or attaching
+/// process has.
 struct Instance {
   explicit Instance(const char *Source) {
     ir::ParseResult R = ir::parseProgram(Source);
@@ -34,12 +42,88 @@ struct Instance {
     Prog = std::move(R.Prog);
     Built = pag::buildPAG(*Prog);
     DynSum = std::make_unique<DynSumAnalysis>(*Built.Graph, AnalysisOptions());
+    DynSum->setSummaryExchange(&Rec);
+  }
+
+  const pag::PAG &graph() const { return *Built.Graph; }
+  TieredSummaryStore &store() { return Rec.Store; }
+
+  /// Queries every variable of Main.main (\p AllVars: every variable).
+  void warm(bool AllVars = false) {
+    ir::TypeId MainCls = Prog->findClass(Prog->names().lookup("Main"));
+    ir::MethodId Main = Prog->findMethod(MainCls, Prog->names().lookup("main"));
+    for (const ir::Variable &V : Prog->variables())
+      if (!V.IsGlobal && (AllVars || V.Owner == Main))
+        DynSum->query(Built.Graph->nodeOfVar(V.Id));
+  }
+
+  TieredSummaryStore::DiskTierStatus attach(const std::string &Path) {
+    return store().attachDiskTier(Path, graph());
   }
 
   std::unique_ptr<ir::Program> Prog;
   pag::BuiltPAG Built;
+  dynsum::testing::RecordingStore Rec;
   std::unique_ptr<DynSumAnalysis> DynSum;
 };
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeFile(const std::string &Path, const std::string &Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), std::streamsize(Bytes.size()));
+}
+
+uint64_t le64(const std::string &Buf, size_t Pos) {
+  uint64_t V = 0;
+  for (int I = 7; I >= 0; --I)
+    V = V << 8 | uint8_t(Buf[Pos + I]);
+  return V;
+}
+
+/// The complete record frames (length, checksum, payload) of a DSUM
+/// file in file order, stopping at a tear; sorted, two files compare
+/// record-for-record whatever order their writers chose.
+std::vector<std::string> recordFrames(const std::string &Buf) {
+  std::vector<std::string> Frames;
+  if (Buf.size() < 32)
+    return Frames;
+  size_t Pos = 32;
+  for (uint64_t I = 0, N = le64(Buf, 16); I < N && Pos + 12 <= Buf.size();
+       ++I) {
+    size_t Len = size_t(le64(Buf, Pos) & 0xffffffffu);
+    if (Pos + 12 + Len > Buf.size())
+      break;
+    Frames.push_back(Buf.substr(Pos, 12 + Len));
+    Pos += 12 + Len;
+  }
+  return Frames;
+}
+
+std::string corpusDir() {
+  return std::string(DYNSUM_TESTS_DIR) + "/golden/dsum_corpus/";
+}
+
+std::string corpusProgram() {
+  std::ifstream In(corpusDir() + "figure2.ir");
+  EXPECT_TRUE(In.good()) << "missing corpus program";
+  std::stringstream Src;
+  Src << In.rdbuf();
+  return Src.str();
+}
+
+/// The oracle for the golden corpus: the corpus README's own command
+/// (`dynsum figure2.ir --analysis=dynsum --client=all
+/// --save-summaries=…`) run cold — every client's queries through one
+/// sequential DYNSUM instance over the CHA graph.
+void runAllClients(Instance &I) {
+  for (const auto &C : clients::makeAllClients())
+    clients::runClient(*C, *I.DynSum, C->makeQueries(I.graph(), 0));
+}
 
 TEST(ProgramFingerprintTest, DeterministicAcrossRebuilds) {
   Instance A(dynsum::testing::kFigure2Source);
@@ -64,17 +148,23 @@ TEST(ProgramFingerprintTest, SensitiveToStatementEdits) {
   EXPECT_EQ(programFingerprint(*A.Prog), Before);
 }
 
-TEST(SummaryIOTest, EmptyCacheRoundTrips) {
+TEST(SummaryIOTest, EmptyStoreRoundTrips) {
   Instance A(dynsum::testing::kFigure2Source);
-  std::string Buf = serializeSummaries(*A.DynSum);
+  std::string Path = ::testing::TempDir() + "/dynsum_empty.dsum";
+  uint64_t Saved = 1;
+  ASSERT_TRUE(A.store().save(Path, A.graph(), &Saved));
+  EXPECT_EQ(Saved, 0u);
   Instance B(dynsum::testing::kFigure2Source);
-  EXPECT_TRUE(deserializeSummaries(*B.DynSum, Buf));
-  EXPECT_EQ(B.DynSum->cacheSize(), 0u);
+  TieredSummaryStore::DiskTierStatus St = B.attach(Path);
+  EXPECT_TRUE(St.Attached) << St.Error;
+  EXPECT_TRUE(St.Indexed);
+  EXPECT_EQ(St.Records, 0u);
+  std::remove(Path.c_str());
 }
 
-/// The central warm-start property: a fresh instance that loads another
-/// instance's summaries answers the same queries with the same results
-/// and strictly fewer traversal steps.
+/// The central warm-start property: a fresh process that attaches
+/// another's snapshot answers the same queries with the same results,
+/// strictly fewer traversal steps and no summary computed.
 TEST(SummaryIOTest, WarmStartMatchesResultsWithFewerSteps) {
   Instance Cold(dynsum::testing::kFigure2Source);
   ir::TypeId MainCls = Cold.Prog->findClass(Cold.Prog->names().lookup("Main"));
@@ -95,10 +185,15 @@ TEST(SummaryIOTest, WarmStartMatchesResultsWithFewerSteps) {
   }
   ASSERT_GT(Cold.DynSum->cacheSize(), 0u);
 
-  std::string Buf = serializeSummaries(*Cold.DynSum);
+  std::string Path = ::testing::TempDir() + "/dynsum_warm.dsum";
+  uint64_t Saved = 0;
+  ASSERT_TRUE(Cold.store().save(Path, Cold.graph(), &Saved));
+  EXPECT_EQ(Saved, Cold.DynSum->cacheSize());
+
   Instance Warm(dynsum::testing::kFigure2Source);
-  ASSERT_TRUE(deserializeSummaries(*Warm.DynSum, Buf));
-  EXPECT_EQ(Warm.DynSum->cacheSize(), Cold.DynSum->cacheSize());
+  TieredSummaryStore::DiskTierStatus St = Warm.attach(Path);
+  ASSERT_TRUE(St.Attached) << St.Error;
+  EXPECT_EQ(St.Records, Saved);
 
   uint64_t WarmSteps = 0;
   for (size_t I = 0; I < Queries.size(); ++I) {
@@ -106,136 +201,138 @@ TEST(SummaryIOTest, WarmStartMatchesResultsWithFewerSteps) {
     WarmSteps += R.Steps;
     EXPECT_EQ(R.allocSites(), ColdResults[I]);
   }
+  EXPECT_EQ(Warm.DynSum->summariesComputed(), 0u);
   EXPECT_LT(WarmSteps, ColdSteps)
-      << "loaded summaries must replace PPTA traversals";
+      << "attached summaries must replace PPTA traversals";
+  std::remove(Path.c_str());
 }
 
-TEST(SummaryIOTest, FingerprintMismatchRejected) {
+TEST(SummaryIOTest, FingerprintMismatchRefused) {
   Instance Fig2(dynsum::testing::kFigure2Source);
-  std::string Buf = serializeSummaries(*Fig2.DynSum);
+  Fig2.warm();
+  std::string Path = ::testing::TempDir() + "/dynsum_fp.dsum";
+  ASSERT_TRUE(Fig2.store().save(Path, Fig2.graph()));
 
   Instance Other(dynsum::testing::kStraightLineSource);
-  EXPECT_FALSE(deserializeSummaries(*Other.DynSum, Buf));
-  EXPECT_EQ(Other.DynSum->cacheSize(), 0u);
+  TieredSummaryStore::DiskTierStatus St = Other.attach(Path);
+  EXPECT_FALSE(St.Attached);
+  EXPECT_NE(St.Error.find("fingerprint"), std::string::npos) << St.Error;
+  EXPECT_FALSE(Other.store().hasDiskTier());
+  EXPECT_FALSE(Other.attach("/nonexistent/dynsum.dsum").Attached);
+  std::remove(Path.c_str());
 }
 
-/// v3 framing contract under truncation: a cut inside the header
-/// rejects the whole file; a cut inside the record stream loads the
-/// intact prefix and reports the tear — never garbage entries.
-TEST(SummaryIOTest, TruncationLoadsIntactPrefixOnly) {
+/// v3 framing under truncation: a cut inside the header refuses the
+/// file; a cut inside the record stream serves the intact prefix; a cut
+/// inside the trailing index loses only the index.
+TEST(SummaryIOTest, TruncationServesIntactPrefixOnly) {
   Instance A(dynsum::testing::kFigure2Source);
-  ir::TypeId MainCls = A.Prog->findClass(A.Prog->names().lookup("Main"));
-  ir::MethodId Main =
-      A.Prog->findMethod(MainCls, A.Prog->names().lookup("main"));
-  for (const ir::Variable &V : A.Prog->variables())
-    if (!V.IsGlobal && V.Owner == Main)
-      A.DynSum->query(A.Built.Graph->nodeOfVar(V.Id));
-  std::string Buf = serializeSummaries(*A.DynSum);
-  ASSERT_GT(Buf.size(), 32u);
-  uint64_t Full = A.DynSum->cacheSize();
+  A.warm();
+  std::string Path = ::testing::TempDir() + "/dynsum_trunc.dsum";
+  uint64_t Full = 0;
+  ASSERT_TRUE(A.store().save(Path, A.graph(), &Full));
+  std::string Buf = readFile(Path);
+  ASSERT_GT(Full, 1u);
 
-  // Cuts inside the 32-byte header: hard rejection, nothing loads.
-  for (size_t Cut : {size_t(3), size_t(9), size_t(24)}) {
-    Instance B(dynsum::testing::kFigure2Source);
-    SummaryLoadReport R = deserializeSummariesReport(
-        *B.DynSum, std::string_view(Buf).substr(0, Cut));
-    EXPECT_FALSE(R.Ok) << "cut at " << Cut;
-    EXPECT_FALSE(R.Error.empty());
-    EXPECT_EQ(B.DynSum->cacheSize(), 0u);
-  }
-
-  // The serialized buffer ends with the digest-index section; the
-  // record stream ends where the index starts (the trailing u64
+  // The record stream ends where the index starts (the trailing u64
   // locates it).
-  size_t RecordsEnd = 0;
-  for (int I = 7; I >= 0; --I)
-    RecordsEnd = RecordsEnd << 8 | uint8_t(Buf[Buf.size() - 8 + I]);
+  size_t RecordsEnd = size_t(le64(Buf, Buf.size() - 8));
   ASSERT_GT(RecordsEnd, 32u);
   ASSERT_LT(RecordsEnd, Buf.size());
 
-  // Cuts inside the record stream: the intact prefix loads, the report
-  // flags the tear, and no partially decoded entry ever merges.
-  for (size_t Cut : {RecordsEnd - 1, RecordsEnd / 2, size_t(40)}) {
+  std::string Cut = ::testing::TempDir() + "/dynsum_trunc_cut.dsum";
+  for (size_t At : {size_t(3), size_t(9), size_t(24)}) {
+    writeFile(Cut, Buf.substr(0, At));
     Instance B(dynsum::testing::kFigure2Source);
-    SummaryLoadReport R = deserializeSummariesReport(
-        *B.DynSum, std::string_view(Buf).substr(0, Cut));
-    EXPECT_TRUE(R.Ok) << "cut at " << Cut;
-    EXPECT_TRUE(R.Truncated) << "cut at " << Cut;
-    EXPECT_LT(R.EntriesLoaded, Full);
-    EXPECT_EQ(B.DynSum->cacheSize(), R.EntriesLoaded);
+    TieredSummaryStore::DiskTierStatus St = B.attach(Cut);
+    EXPECT_FALSE(St.Attached) << "cut at " << At;
+    EXPECT_FALSE(St.Error.empty());
   }
-
-  // Cuts inside the trailing index section lose only the index: the
-  // streaming loader reads exactly the header's record count and never
-  // sees the damage — every record loads, no tear is reported.
-  for (size_t Cut : {Buf.size() - 1, RecordsEnd + 1, RecordsEnd}) {
+  for (size_t At : {RecordsEnd - 1, RecordsEnd / 2, size_t(40)}) {
+    writeFile(Cut, Buf.substr(0, At));
     Instance B(dynsum::testing::kFigure2Source);
-    SummaryLoadReport R = deserializeSummariesReport(
-        *B.DynSum, std::string_view(Buf).substr(0, Cut));
-    EXPECT_TRUE(R.Ok) << "cut at " << Cut;
-    EXPECT_FALSE(R.Truncated) << "cut at " << Cut;
-    EXPECT_EQ(R.EntriesLoaded, Full);
+    TieredSummaryStore::DiskTierStatus St = B.attach(Cut);
+    EXPECT_TRUE(St.Attached) << "cut at " << At << ": " << St.Error;
+    EXPECT_FALSE(St.Indexed) << "cut at " << At;
+    EXPECT_LT(St.Records, Full) << "cut at " << At;
+    EXPECT_EQ(St.Records, recordFrames(Buf.substr(0, At)).size());
   }
+  for (size_t At : {Buf.size() - 1, RecordsEnd + 1, RecordsEnd}) {
+    writeFile(Cut, Buf.substr(0, At));
+    Instance B(dynsum::testing::kFigure2Source);
+    TieredSummaryStore::DiskTierStatus St = B.attach(Cut);
+    EXPECT_TRUE(St.Attached) << "cut at " << At << ": " << St.Error;
+    EXPECT_FALSE(St.Indexed) << "cut at " << At;
+    EXPECT_EQ(St.Records, Full) << "cut at " << At;
+  }
+  std::remove(Cut.c_str());
+  std::remove(Path.c_str());
 }
 
-/// Flipping a byte inside one record's payload drops exactly that
-/// record (checksum mismatch) and keeps every other entry.
-TEST(SummaryIOTest, CorruptRecordIsSkippedAndReported) {
+/// Flipping a byte inside one record's payload kills exactly that
+/// record (checksum mismatch, found at attach) and serves every other.
+TEST(SummaryIOTest, CorruptRecordIsDeadAndCounted) {
   Instance A(dynsum::testing::kFigure2Source);
-  ir::TypeId MainCls = A.Prog->findClass(A.Prog->names().lookup("Main"));
-  ir::MethodId Main =
-      A.Prog->findMethod(MainCls, A.Prog->names().lookup("main"));
-  for (const ir::Variable &V : A.Prog->variables())
-    if (!V.IsGlobal && V.Owner == Main)
-      A.DynSum->query(A.Built.Graph->nodeOfVar(V.Id));
-  std::string Buf = serializeSummaries(*A.DynSum);
-  uint64_t Full = A.DynSum->cacheSize();
+  A.warm();
+  std::string Path = ::testing::TempDir() + "/dynsum_corrupt.dsum";
+  uint64_t Full = 0;
+  ASSERT_TRUE(A.store().save(Path, A.graph(), &Full));
   ASSERT_GT(Full, 1u);
 
   // Byte 44 sits inside the first record's payload (32-byte header +
   // 12-byte frame).
-  std::string Corrupt = Buf;
-  Corrupt[44] = char(Corrupt[44] ^ 0x5a);
+  std::string Buf = readFile(Path);
+  Buf[44] = char(Buf[44] ^ 0x5a);
+  writeFile(Path, Buf);
   Instance B(dynsum::testing::kFigure2Source);
-  SummaryLoadReport R = deserializeSummariesReport(*B.DynSum, Corrupt);
-  EXPECT_TRUE(R.Ok);
-  EXPECT_EQ(R.RecordsSkipped, 1u);
-  EXPECT_EQ(R.EntriesLoaded, Full - 1);
-  EXPECT_FALSE(R.Truncated);
-  ASSERT_EQ(R.SkippedRecords.size(), 1u);
-  EXPECT_NE(R.SkippedRecords[0].find("checksum mismatch"), std::string::npos);
-  EXPECT_EQ(B.DynSum->cacheSize(), Full - 1);
+  TieredSummaryStore::DiskTierStatus St = B.attach(Path);
+  ASSERT_TRUE(St.Attached) << St.Error;
+  EXPECT_TRUE(St.Indexed);
+  EXPECT_EQ(St.Records, Full - 1);
+  EXPECT_EQ(B.store().counters().DiskCorrupt, 1u);
+
+  // A save drops the dead record: the next snapshot is clean.
+  uint64_t Resaved = 0;
+  ASSERT_TRUE(B.store().save(Path, B.graph(), &Resaved));
+  EXPECT_EQ(Resaved, Full - 1);
+  Instance C(dynsum::testing::kFigure2Source);
+  EXPECT_EQ(C.attach(Path).Records, Full - 1);
+  EXPECT_EQ(C.store().counters().DiskCorrupt, 0u);
+  std::remove(Path.c_str());
 }
 
-TEST(SummaryIOTest, CorruptMagicVersionAndHeaderRejected) {
+TEST(SummaryIOTest, CorruptMagicVersionAndHeaderRefused) {
   Instance A(dynsum::testing::kFigure2Source);
-  std::string Buf = serializeSummaries(*A.DynSum);
-  Instance B(dynsum::testing::kFigure2Source);
+  A.warm();
+  std::string Path = ::testing::TempDir() + "/dynsum_header.dsum";
+  ASSERT_TRUE(A.store().save(Path, A.graph()));
+  std::string Buf = readFile(Path);
 
-  std::string BadMagic = Buf;
-  BadMagic[0] = 'X';
-  EXPECT_FALSE(deserializeSummaries(*B.DynSum, BadMagic));
-
-  std::string BadVersion = Buf;
-  BadVersion[4] = char(0x7f);
-  SummaryLoadReport R = deserializeSummariesReport(*B.DynSum, BadVersion);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("unsupported"), std::string::npos);
-
+  struct Damage {
+    size_t Byte;
+    char Value;
+    const char *Error;
+  };
   // A damaged entry count is caught by the header checksum, not by a
   // garbage record walk.
-  std::string BadCount = Buf;
-  BadCount[16] = char(BadCount[16] ^ 0xff);
-  R = deserializeSummariesReport(*B.DynSum, BadCount);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("checksum"), std::string::npos);
-  EXPECT_EQ(B.DynSum->cacheSize(), 0u);
+  for (const Damage &D : {Damage{0, 'X', "bad magic"},
+                          Damage{4, char(0x7f), "unsupported DSUM version"},
+                          Damage{16, char(Buf[16] ^ 0xff), "checksum"}}) {
+    std::string Bad = Buf;
+    Bad[D.Byte] = D.Value;
+    writeFile(Path, Bad);
+    Instance B(dynsum::testing::kFigure2Source);
+    TieredSummaryStore::DiskTierStatus St = B.attach(Path);
+    EXPECT_FALSE(St.Attached) << "byte " << D.Byte;
+    EXPECT_NE(St.Error.find(D.Error), std::string::npos) << St.Error;
+  }
+  std::remove(Path.c_str());
 }
 
-/// v2 files (unframed records, no header checksum) are no longer read:
-/// even a well-formed v2 buffer for the right program is refused at the
-/// version field, with nothing merged.
-TEST(SummaryIOTest, Version2BufferRefusedAsUnsupported) {
+/// v2 files (unframed records, no header checksum) are not read: even
+/// a well-formed v2 file for the right program is refused at the
+/// version field.
+TEST(SummaryIOTest, Version2FileRefusedAsUnsupported) {
   Instance A(dynsum::testing::kFigure2Source);
   std::string V2;
   auto Put = [&V2](uint64_t V, int Bytes) {
@@ -247,50 +344,24 @@ TEST(SummaryIOTest, Version2BufferRefusedAsUnsupported) {
   Put(programFingerprint(*A.Prog), 8);
   Put(0, 8); // entry count
 
-  SummaryLoadReport R = deserializeSummariesReport(*A.DynSum, V2);
-  EXPECT_FALSE(R.Ok);
-  EXPECT_NE(R.Error.find("unsupported DSUM version 2"), std::string::npos)
-      << R.Error;
-  EXPECT_EQ(R.EntriesLoaded, 0u);
-  EXPECT_EQ(A.DynSum->cacheSize(), 0u);
-}
-
-TEST(SummaryIOTest, FileRoundTrip) {
-  Instance A(dynsum::testing::kFigure2Source);
-  ir::TypeId MainCls = A.Prog->findClass(A.Prog->names().lookup("Main"));
-  ir::MethodId Main =
-      A.Prog->findMethod(MainCls, A.Prog->names().lookup("main"));
-  for (const ir::Variable &V : A.Prog->variables())
-    if (!V.IsGlobal && V.Owner == Main)
-      A.DynSum->query(A.Built.Graph->nodeOfVar(V.Id));
-
-  std::string Path = ::testing::TempDir() + "/dynsum_summaries.bin";
-  ASSERT_TRUE(saveSummariesFile(*A.DynSum, Path));
-
-  Instance B(dynsum::testing::kFigure2Source);
-  ASSERT_TRUE(loadSummariesFile(*B.DynSum, Path));
-  EXPECT_EQ(B.DynSum->cacheSize(), A.DynSum->cacheSize());
+  std::string Path = ::testing::TempDir() + "/dynsum_v2.dsum";
+  writeFile(Path, V2);
+  TieredSummaryStore::DiskTierStatus St = A.attach(Path);
+  EXPECT_FALSE(St.Attached);
+  EXPECT_NE(St.Error.find("unsupported DSUM version 2"), std::string::npos)
+      << St.Error;
+  EXPECT_FALSE(A.store().hasDiskTier());
   std::remove(Path.c_str());
-}
-
-TEST(SummaryIOTest, MissingFileRejected) {
-  Instance A(dynsum::testing::kFigure2Source);
-  EXPECT_FALSE(loadSummariesFile(*A.DynSum, "/nonexistent/dynsum.bin"));
 }
 
 /// An interrupted save must never clobber the previous snapshot: the
 /// torn temp file is discarded and the target keeps its old bytes.
 TEST(SummaryIOTest, FailedSaveLeavesPreviousFileIntact) {
   Instance A(dynsum::testing::kFigure2Source);
-  ir::TypeId MainCls = A.Prog->findClass(A.Prog->names().lookup("Main"));
-  ir::MethodId Main =
-      A.Prog->findMethod(MainCls, A.Prog->names().lookup("main"));
-  for (const ir::Variable &V : A.Prog->variables())
-    if (!V.IsGlobal && V.Owner == Main)
-      A.DynSum->query(A.Built.Graph->nodeOfVar(V.Id));
-
+  A.warm();
   std::string Path = ::testing::TempDir() + "/dynsum_atomic_save.dsum";
-  ASSERT_TRUE(saveSummariesFile(*A.DynSum, Path));
+  uint64_t Full = 0;
+  ASSERT_TRUE(A.store().save(Path, A.graph(), &Full));
 
   // Arm a torn write at byte 100: the next save truncates mid-stream,
   // fails, and must not touch the published file.
@@ -298,75 +369,99 @@ TEST(SummaryIOTest, FailedSaveLeavesPreviousFileIntact) {
   Torn.Kind = support::FaultKind::TornWrite;
   Torn.Param = 100;
   support::armFault("save.write", Torn);
-  EXPECT_FALSE(saveSummariesFile(*A.DynSum, Path));
+  EXPECT_FALSE(A.store().save(Path, A.graph()));
   support::clearFaults();
 
   Instance B(dynsum::testing::kFigure2Source);
-  SummaryLoadReport R = loadSummariesFileReport(*B.DynSum, Path);
-  EXPECT_TRUE(R.Ok);
-  EXPECT_FALSE(R.Truncated);
-  EXPECT_EQ(R.RecordsSkipped, 0u);
-  EXPECT_EQ(B.DynSum->cacheSize(), A.DynSum->cacheSize());
+  TieredSummaryStore::DiskTierStatus St = B.attach(Path);
+  ASSERT_TRUE(St.Attached) << St.Error;
+  EXPECT_TRUE(St.Indexed);
+  EXPECT_EQ(St.Records, Full);
+  EXPECT_EQ(B.store().counters().DiskCorrupt, 0u);
   std::remove(Path.c_str());
 }
 
 /// Regression corpus: checked-in corrupted/truncated .dsum files (made
 /// from tests/golden/dsum_corpus/pristine.dsum by flipping or cutting
-/// bytes — see the corpus README) must keep degrading exactly as the
-/// v3 format promises, across format and compiler changes.
+/// bytes — see the corpus README) must keep attaching, or being
+/// refused, exactly as the v3 format promises.
 TEST(SummaryIOTest, GoldenCorruptionCorpusDegradesGracefully) {
-  std::string Dir = std::string(DYNSUM_TESTS_DIR) + "/golden/dsum_corpus/";
-  std::ifstream ProgIn(Dir + "figure2.ir");
-  ASSERT_TRUE(ProgIn.good()) << "missing corpus program";
-  std::stringstream Src;
-  Src << ProgIn.rdbuf();
-  std::string Source = Src.str();
+  std::string Dir = corpusDir();
+  std::string Source = corpusProgram();
   Instance Pristine(Source.c_str());
-  SummaryLoadReport Base =
-      loadSummariesFileReport(*Pristine.DynSum, Dir + "pristine.dsum");
-  ASSERT_TRUE(Base.Ok) << Base.Error;
-  ASSERT_GT(Base.EntriesLoaded, 1u);
-  EXPECT_EQ(Base.RecordsSkipped, 0u);
-  EXPECT_FALSE(Base.Truncated);
+  TieredSummaryStore::DiskTierStatus Base =
+      Pristine.attach(Dir + "pristine.dsum");
+  ASSERT_TRUE(Base.Attached) << Base.Error;
+  ASSERT_GT(Base.Records, 1u);
+  EXPECT_EQ(Pristine.store().counters().DiskCorrupt, 0u);
 
-  // Header-level damage: hard rejection, nothing merges.
+  // Header-level damage: refused, nothing attaches.
   for (const char *Name : {"truncated_header.dsum", "bad_magic.dsum",
                            "bad_version.dsum", "bad_header_crc.dsum",
                            "empty.dsum"}) {
     Instance B(Source.c_str());
-    SummaryLoadReport R = loadSummariesFileReport(*B.DynSum, Dir + Name);
-    EXPECT_FALSE(R.Ok) << Name;
-    EXPECT_FALSE(R.Error.empty()) << Name;
-    EXPECT_EQ(B.DynSum->cacheSize(), 0u) << Name;
+    TieredSummaryStore::DiskTierStatus St = B.attach(Dir + Name);
+    EXPECT_FALSE(St.Attached) << Name;
+    EXPECT_FALSE(St.Error.empty()) << Name;
+    EXPECT_FALSE(B.store().hasDiskTier()) << Name;
   }
 
-  // One corrupted record: skipped and attributed, everything else
-  // loads.
+  // One corrupted record: dead, everything else served.
   {
     Instance B(Source.c_str());
-    SummaryLoadReport R =
-        loadSummariesFileReport(*B.DynSum, Dir + "corrupt_record.dsum");
-    EXPECT_TRUE(R.Ok) << R.Error;
-    EXPECT_EQ(R.RecordsSkipped, 1u);
-    EXPECT_EQ(R.EntriesLoaded, Base.EntriesLoaded - 1);
-    ASSERT_EQ(R.SkippedRecords.size(), 1u);
+    TieredSummaryStore::DiskTierStatus St =
+        B.attach(Dir + "corrupt_record.dsum");
+    ASSERT_TRUE(St.Attached) << St.Error;
+    EXPECT_EQ(St.Records, Base.Records - 1);
+    EXPECT_EQ(B.store().counters().DiskCorrupt, 1u);
   }
 
-  // Torn tail: the intact prefix loads and the tear is reported.
+  // Torn tail: the intact prefix is served.
   {
     Instance B(Source.c_str());
-    SummaryLoadReport R =
-        loadSummariesFileReport(*B.DynSum, Dir + "truncated_records.dsum");
-    EXPECT_TRUE(R.Ok) << R.Error;
-    EXPECT_TRUE(R.Truncated);
-    EXPECT_LT(R.EntriesLoaded, Base.EntriesLoaded);
-    EXPECT_EQ(B.DynSum->cacheSize(), R.EntriesLoaded);
+    TieredSummaryStore::DiskTierStatus St =
+        B.attach(Dir + "truncated_records.dsum");
+    ASSERT_TRUE(St.Attached) << St.Error;
+    EXPECT_LT(St.Records, Base.Records);
+    EXPECT_EQ(St.Records,
+              recordFrames(readFile(Dir + "truncated_records.dsum")).size());
   }
 }
 
-/// Round trip over a generated program: every cached summary survives
-/// byte-for-byte (queries on the loaded instance produce identical
-/// results and the cache never grows past the donor's).
+/// The corpus README's command, run cold, writes exactly the records of
+/// pristine.dsum and pristine_indexed.dsum — the same frames, byte for
+/// byte, in whatever order the store lists them — with a valid index.
+TEST(SummaryIOTest, ColdRunSaveReproducesGoldenRecords) {
+  std::string Source = corpusProgram();
+  Instance Cold(Source.c_str());
+  runAllClients(Cold);
+  std::string Path = ::testing::TempDir() + "/dynsum_golden_rerun.dsum";
+  uint64_t Saved = 0;
+  ASSERT_TRUE(Cold.store().save(Path, Cold.graph(), &Saved));
+  EXPECT_EQ(Saved, Cold.Rec.Published.size());
+
+  std::vector<std::string> Fresh = recordFrames(readFile(Path));
+  std::sort(Fresh.begin(), Fresh.end());
+  ASSERT_EQ(Fresh.size(), Saved);
+  for (const char *Name : {"pristine.dsum", "pristine_indexed.dsum"}) {
+    std::vector<std::string> Golden =
+        recordFrames(readFile(corpusDir() + Name));
+    std::sort(Golden.begin(), Golden.end());
+    EXPECT_EQ(Fresh, Golden) << Name;
+  }
+
+  std::unique_ptr<MappedSummaryFile> File = MappedSummaryFile::open(
+      Path, programFingerprint(*Cold.Prog), Cold.Prog->variables().size(),
+      Cold.Prog->allocs().size());
+  ASSERT_NE(File, nullptr);
+  EXPECT_TRUE(File->indexedOnOpen());
+  EXPECT_EQ(File->records(), Saved);
+  std::remove(Path.c_str());
+}
+
+/// Round trip over a generated program: every saved summary comes back
+/// (queries on the attaching instance give identical results and
+/// compute nothing).
 TEST(SummaryIOTest, GeneratedProgramRoundTripIsExact) {
   workload::GenOptions Gen;
   Gen.Scale = 1.0 / 256;
@@ -377,8 +472,11 @@ TEST(SummaryIOTest, GeneratedProgramRoundTripIsExact) {
 
   pag::BuiltPAG G1 = pag::buildPAG(*P1);
   pag::BuiltPAG G2 = pag::buildPAG(*P2);
+  TieredSummaryStore S1, S2;
   DynSumAnalysis A1(*G1.Graph, AnalysisOptions());
   DynSumAnalysis A2(*G2.Graph, AnalysisOptions());
+  A1.setSummaryExchange(&S1);
+  A2.setSummaryExchange(&S2);
 
   std::vector<ir::VarId> Queries;
   for (const ir::Variable &V : P1->variables())
@@ -387,125 +485,96 @@ TEST(SummaryIOTest, GeneratedProgramRoundTripIsExact) {
   for (ir::VarId V : Queries)
     A1.query(G1.Graph->nodeOfVar(V));
 
-  ASSERT_TRUE(deserializeSummaries(A2, serializeSummaries(A1)));
-  EXPECT_EQ(A1.cacheSize(), A2.cacheSize());
+  std::string Path = ::testing::TempDir() + "/dynsum_generated.dsum";
+  uint64_t Saved = 0;
+  ASSERT_TRUE(S1.save(Path, *G1.Graph, &Saved));
+  EXPECT_EQ(Saved, A1.cacheSize());
+  ASSERT_EQ(S2.attachDiskTier(Path, *G2.Graph).Records, Saved);
 
   for (ir::VarId V : Queries) {
     QueryResult R1 = A1.query(G1.Graph->nodeOfVar(V));
     QueryResult R2 = A2.query(G2.Graph->nodeOfVar(V));
     EXPECT_EQ(R1.allocSites(), R2.allocSites());
   }
-  EXPECT_EQ(A1.cacheSize(), A2.cacheSize())
+  EXPECT_EQ(A2.summariesComputed(), 0u)
       << "warm queries must not recompute anything";
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// MappedSummaryFile: the disk tier's random-access reader
+// MappedSummaryFile: the probe behind the disk tier
 //===----------------------------------------------------------------------===//
 
-/// One summary cache entry in on-disk key form, for probing the mmap
-/// reader: the packed in-memory key decoded (bit 0 = state, bits 1..32
-/// = node, bits 33..63 = field-stack id) and the node canonicalized
-/// the way the serializer does (VarId, or numVars + AllocId for object
-/// nodes).
-struct CachedKey {
-  uint32_t Canonical = 0;
-  RsmState State = RsmState::S1;
-  std::vector<uint32_t> Fields;
-  PortableSummary Summary;
-};
-
-uint32_t canonicalOf(const Instance &A, pag::NodeId N) {
-  const pag::Node &Node = A.Built.Graph->node(N);
+uint32_t canonicalOf(const pag::PAG &G, pag::NodeId N) {
+  const pag::Node &Node = G.node(N);
   if (Node.Kind == pag::NodeKind::Object)
-    return uint32_t(A.Prog->variables().size()) + Node.IrId;
+    return uint32_t(G.program().variables().size()) + Node.IrId;
   return Node.IrId;
 }
 
-std::vector<CachedKey> decodeCache(const Instance &A) {
-  std::vector<CachedKey> Out;
-  const StackPool &Stacks = A.DynSum->fieldStacks();
-  for (const auto &[Packed, S] : A.DynSum->summaryCache()) {
-    CachedKey K;
-    K.Canonical = canonicalOf(A, pag::NodeId((Packed >> 1) & 0xffffffffu));
-    K.State = (Packed & 1) == 0 ? RsmState::S1 : RsmState::S2;
-    K.Fields = Stacks.elements(StackId{uint32_t(Packed >> 33)});
-    K.Summary = A.DynSum->exportSummary(S);
-    Out.push_back(std::move(K));
+/// Probes \p File for \p E's key; on a hit the record must equal the
+/// published summary exactly, with tuple nodes compared in canonical
+/// form.
+bool probeMatches(const MappedSummaryFile &File, const pag::PAG &G,
+                  const dynsum::testing::RecordingStore::Entry &E) {
+  uint32_t Canonical = canonicalOf(G, E.Node);
+  PortableSummary Out;
+  if (!File.findBody(summaryRecordDigest(Canonical, E.State, E.Fields),
+                     Canonical, E.State, E.Fields, Out))
+    return false;
+  EXPECT_EQ(Out.Objects, E.Summary.Objects);
+  EXPECT_EQ(Out.FieldData, E.Summary.FieldData);
+  EXPECT_EQ(Out.Tuples.size(), E.Summary.Tuples.size());
+  for (size_t I = 0; I < std::min(Out.Tuples.size(), E.Summary.Tuples.size());
+       ++I) {
+    EXPECT_EQ(Out.Tuples[I].Node, canonicalOf(G, E.Summary.Tuples[I].Node));
+    EXPECT_EQ(int(Out.Tuples[I].State), int(E.Summary.Tuples[I].State));
+    EXPECT_EQ(Out.Tuples[I].FieldsLen, E.Summary.Tuples[I].FieldsLen);
   }
-  return Out;
+  return true;
 }
 
-/// The record's bytes must equal the donor cache entry exactly, with
-/// tuple nodes compared in canonical form.
-void expectRecordMatches(const Instance &A, const CachedKey &K,
-                         const DecodedSummaryRecord &R) {
-  EXPECT_EQ(R.CanonicalNode, K.Canonical);
-  EXPECT_EQ(int(R.State), int(K.State));
-  EXPECT_EQ(R.Fields, K.Fields);
-  EXPECT_EQ(R.Objects, K.Summary.Objects);
-  EXPECT_EQ(R.FieldData, K.Summary.FieldData);
-  ASSERT_EQ(R.Tuples.size(), K.Summary.Tuples.size());
-  for (size_t I = 0; I < R.Tuples.size(); ++I) {
-    EXPECT_EQ(R.Tuples[I].CanonicalNode,
-              canonicalOf(A, K.Summary.Tuples[I].Node));
-    EXPECT_EQ(int(R.Tuples[I].State), int(K.Summary.Tuples[I].State));
-    EXPECT_EQ(R.Tuples[I].FieldsLen, K.Summary.Tuples[I].FieldsLen);
-  }
-}
-
-Instance warmFigure2Instance() {
-  Instance A(dynsum::testing::kFigure2Source);
-  for (const ir::Variable &V : A.Prog->variables())
-    if (!V.IsGlobal)
-      A.DynSum->query(A.Built.Graph->nodeOfVar(V.Id));
-  EXPECT_GT(A.DynSum->cacheSize(), 10u);
-  return A;
+std::unique_ptr<MappedSummaryFile> openFor(const Instance &A,
+                                           const std::string &Path,
+                                           std::string *Error = nullptr) {
+  return MappedSummaryFile::open(Path, programFingerprint(*A.Prog),
+                                 A.Prog->variables().size(),
+                                 A.Prog->allocs().size(), Error);
 }
 
 TEST(MappedSummaryFileTest, FooterIndexRoundTripServesEveryRecord) {
-  Instance A = warmFigure2Instance();
+  Instance A(dynsum::testing::kFigure2Source);
+  A.warm(/*AllVars=*/true);
+  ASSERT_GT(A.Rec.Published.size(), 10u);
   std::string Path = ::testing::TempDir() + "/mapped_roundtrip.dsum";
-  ASSERT_TRUE(saveSummariesFile(*A.DynSum, Path));
+  ASSERT_TRUE(A.store().save(Path, A.graph()));
 
   std::string Error;
-  std::unique_ptr<MappedSummaryFile> File = MappedSummaryFile::open(
-      Path, programFingerprint(*A.Prog), A.Prog->variables().size(),
-      A.Prog->allocs().size(), &Error);
+  std::unique_ptr<MappedSummaryFile> File = openFor(A, Path, &Error);
   ASSERT_NE(File, nullptr) << Error;
   EXPECT_TRUE(File->indexedOnOpen())
-      << "the serializer appends a digest index; open must use it";
-  EXPECT_EQ(File->records(), A.DynSum->cacheSize());
-
-  std::vector<CachedKey> Keys = decodeCache(A);
-  DecodedSummaryRecord R;
-  for (const CachedKey &K : Keys) {
-    ASSERT_TRUE(File->find(K.Canonical, K.State, K.Fields, R))
-        << "canonical node " << K.Canonical;
-    expectRecordMatches(A, K, R);
-  }
+      << "the writer appends a digest index; open must use it";
+  EXPECT_EQ(File->records(), A.Rec.Published.size());
+  for (const auto &E : A.Rec.Published)
+    EXPECT_TRUE(probeMatches(*File, A.graph(), E)) << "node " << E.Node;
   EXPECT_EQ(File->corruptRecords(), 0u);
 
   // A key that was never saved misses cleanly.
-  EXPECT_FALSE(File->find(Keys[0].Canonical, RsmState::S1, {99, 99}, R));
+  dynsum::testing::RecordingStore::Entry Unsaved = A.Rec.Published[0];
+  Unsaved.Fields = {99, 99};
+  EXPECT_FALSE(probeMatches(*File, A.graph(), Unsaved));
   std::remove(Path.c_str());
 }
 
 TEST(MappedSummaryFileTest, DamagedIndexFallsBackToFrameScan) {
-  Instance A = warmFigure2Instance();
+  Instance A(dynsum::testing::kFigure2Source);
+  A.warm(/*AllVars=*/true);
   std::string Path = ::testing::TempDir() + "/mapped_badindex.dsum";
-  ASSERT_TRUE(saveSummariesFile(*A.DynSum, Path));
-
-  std::ifstream In(Path, std::ios::binary);
-  std::string Buf((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  In.close();
-  size_t RecordsEnd = 0;
-  for (int I = 7; I >= 0; --I)
-    RecordsEnd = RecordsEnd << 8 | uint8_t(Buf[Buf.size() - 8 + I]);
+  ASSERT_TRUE(A.store().save(Path, A.graph()));
+  std::string Buf = readFile(Path);
+  size_t RecordsEnd = size_t(le64(Buf, Buf.size() - 8));
   ASSERT_LT(RecordsEnd, Buf.size());
 
-  std::vector<CachedKey> Keys = decodeCache(A);
   // Two damage shapes: a flipped byte inside the index (checksum
   // mismatch) and a torn-off footer (a pre-index-sized tail).  Both
   // must open, report the index unusable, and still serve every
@@ -514,31 +583,24 @@ TEST(MappedSummaryFileTest, DamagedIndexFallsBackToFrameScan) {
   Flipped[RecordsEnd + 5] = char(Flipped[RecordsEnd + 5] ^ 0x5a);
   std::string Torn = Buf.substr(0, RecordsEnd);
   for (const std::string &Damaged : {Flipped, Torn}) {
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Damaged.data(), std::streamsize(Damaged.size()));
-    Out.close();
-
+    writeFile(Path, Damaged);
     std::string Error;
-    std::unique_ptr<MappedSummaryFile> File = MappedSummaryFile::open(
-        Path, programFingerprint(*A.Prog), A.Prog->variables().size(),
-        A.Prog->allocs().size(), &Error);
+    std::unique_ptr<MappedSummaryFile> File = openFor(A, Path, &Error);
     ASSERT_NE(File, nullptr) << Error;
     EXPECT_FALSE(File->indexedOnOpen());
-    EXPECT_EQ(File->records(), A.DynSum->cacheSize());
-    DecodedSummaryRecord R;
-    for (const CachedKey &K : Keys) {
-      ASSERT_TRUE(File->find(K.Canonical, K.State, K.Fields, R));
-      expectRecordMatches(A, K, R);
-    }
+    EXPECT_EQ(File->records(), A.Rec.Published.size());
+    for (const auto &E : A.Rec.Published)
+      EXPECT_TRUE(probeMatches(*File, A.graph(), E));
     EXPECT_EQ(File->corruptRecords(), 0u);
   }
   std::remove(Path.c_str());
 }
 
 TEST(MappedSummaryFileTest, RejectsHeaderDamageAndWrongFingerprint) {
-  Instance A = warmFigure2Instance();
+  Instance A(dynsum::testing::kFigure2Source);
+  A.warm(/*AllVars=*/true);
   std::string Path = ::testing::TempDir() + "/mapped_reject.dsum";
-  ASSERT_TRUE(saveSummariesFile(*A.DynSum, Path));
+  ASSERT_TRUE(A.store().save(Path, A.graph()));
   uint64_t Fp = programFingerprint(*A.Prog);
   size_t NumVars = A.Prog->variables().size();
   size_t NumAllocs = A.Prog->allocs().size();
@@ -551,16 +613,11 @@ TEST(MappedSummaryFileTest, RejectsHeaderDamageAndWrongFingerprint) {
                                     NumAllocs, &Error),
             nullptr);
 
-  std::ifstream In(Path, std::ios::binary);
-  std::string Buf((std::istreambuf_iterator<char>(In)),
-                  std::istreambuf_iterator<char>());
-  In.close();
+  std::string Buf = readFile(Path);
   for (size_t Damage : {size_t(0), size_t(4), size_t(16)}) {
     std::string Bad = Buf;
     Bad[Damage] = char(Bad[Damage] ^ 0x7f);
-    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-    Out.write(Bad.data(), std::streamsize(Bad.size()));
-    Out.close();
+    writeFile(Path, Bad);
     EXPECT_EQ(MappedSummaryFile::open(Path, Fp, NumVars, NumAllocs, &Error),
               nullptr)
         << "header byte " << Damage;
@@ -569,111 +626,43 @@ TEST(MappedSummaryFileTest, RejectsHeaderDamageAndWrongFingerprint) {
   std::remove(Path.c_str());
 }
 
-/// The disk tier's skip semantics must match the streaming loader
-/// record-for-record over the golden corruption corpus: every record
-/// the loader merges is servable through the mmap reader, every record
-/// it skips or loses to a tear is a miss — and never a crash.  The
-/// corpus files predate the digest index, so this also pins the
-/// frame-scan fallback against real pre-index v3 bytes.
-TEST(MappedSummaryFileTest, AgreesWithStreamingLoaderOnGoldenCorpus) {
-  std::string Dir = std::string(DYNSUM_TESTS_DIR) + "/golden/dsum_corpus/";
-  std::ifstream ProgIn(Dir + "figure2.ir");
-  ASSERT_TRUE(ProgIn.good());
-  std::stringstream Src;
-  Src << ProgIn.rdbuf();
-  std::string Source = Src.str();
-
-  // The pristine file defines the full key set.
-  Instance Pristine(Source.c_str());
-  ASSERT_TRUE(loadSummariesFile(*Pristine.DynSum, Dir + "pristine.dsum"));
-  std::vector<CachedKey> AllKeys = decodeCache(Pristine);
-  ASSERT_GT(AllKeys.size(), 1u);
-  uint64_t Fp = programFingerprint(*Pristine.Prog);
-  size_t NumVars = Pristine.Prog->variables().size();
-  size_t NumAllocs = Pristine.Prog->allocs().size();
-
-  struct Expectation {
-    const char *Name;
-    uint64_t ExpectCorrupt; // records dead to CRC, counted on probe
-  };
-  for (const Expectation &E :
-       {Expectation{"pristine.dsum", 0}, Expectation{"corrupt_record.dsum", 1},
-        Expectation{"truncated_records.dsum", 0}}) {
-    // What does the streaming loader accept from this file?
-    Instance Loaded(Source.c_str());
-    SummaryLoadReport Rep =
-        loadSummariesFileReport(*Loaded.DynSum, Dir + E.Name);
-    ASSERT_TRUE(Rep.Ok) << E.Name << ": " << Rep.Error;
-    std::set<std::tuple<uint32_t, int, std::vector<uint32_t>>> Accepted;
-    for (const CachedKey &K : decodeCache(Loaded))
-      Accepted.insert({K.Canonical, int(K.State), K.Fields});
-
-    std::string Error;
-    std::unique_ptr<MappedSummaryFile> File =
-        MappedSummaryFile::open(Dir + E.Name, Fp, NumVars, NumAllocs, &Error);
-    ASSERT_NE(File, nullptr) << E.Name << ": " << Error;
-    EXPECT_FALSE(File->indexedOnOpen())
-        << E.Name << " predates the digest index";
-
-    DecodedSummaryRecord R;
-    size_t Hits = 0;
-    for (const CachedKey &K : AllKeys) {
-      bool Hit = File->find(K.Canonical, K.State, K.Fields, R);
-      bool WasAccepted =
-          Accepted.count({K.Canonical, int(K.State), K.Fields}) != 0;
-      EXPECT_EQ(Hit, WasAccepted)
-          << E.Name << ": mmap reader and streaming loader disagree on "
-             "canonical node "
-          << K.Canonical;
-      if (Hit) {
-        expectRecordMatches(Pristine, K, R);
-        ++Hits;
-      }
-    }
-    EXPECT_EQ(Hits, Rep.EntriesLoaded) << E.Name;
-    EXPECT_EQ(File->corruptRecords(), E.ExpectCorrupt) << E.Name;
-  }
-}
-
-/// Indexed golden files: a current-writer .dsum with its digest index
-/// intact must open indexed; its bad_index sibling (one flipped byte
-/// inside the index section) must fall back to the scan and still
-/// serve everything.
-TEST(MappedSummaryFileTest, GoldenIndexedCorpusServesMmapReader) {
-  std::string Dir = std::string(DYNSUM_TESTS_DIR) + "/golden/dsum_corpus/";
-  std::ifstream ProgIn(Dir + "figure2.ir");
-  ASSERT_TRUE(ProgIn.good());
-  std::stringstream Src;
-  Src << ProgIn.rdbuf();
-  std::string Source = Src.str();
-
-  Instance Pristine(Source.c_str());
-  ASSERT_TRUE(
-      loadSummariesFile(*Pristine.DynSum, Dir + "pristine_indexed.dsum"));
-  std::vector<CachedKey> Keys = decodeCache(Pristine);
-  ASSERT_GT(Keys.size(), 1u);
-  uint64_t Fp = programFingerprint(*Pristine.Prog);
-  size_t NumVars = Pristine.Prog->variables().size();
-  size_t NumAllocs = Pristine.Prog->allocs().size();
+/// Every golden file serves exactly what the cold run of the corpus
+/// README's command computed, minus what its damage destroyed: each
+/// probe either hits with the oracle's exact summary or misses, and
+/// misses are exactly the dead or torn-off records.  pristine.dsum and
+/// its damaged variants predate the digest index, so this also pins
+/// the frame-scan fallback against real pre-index v3 bytes.
+TEST(MappedSummaryFileTest, GoldenCorpusServesWhatAColdRunComputes) {
+  std::string Source = corpusProgram();
+  Instance Oracle(Source.c_str());
+  runAllClients(Oracle);
+  size_t All = Oracle.Rec.Published.size();
+  ASSERT_GT(All, 1u);
 
   struct Expectation {
     const char *Name;
     bool Indexed;
+    size_t Hits;
+    uint64_t Corrupt; // records dead to CRC, counted on probe
   };
-  for (const Expectation &E : {Expectation{"pristine_indexed.dsum", true},
-                               Expectation{"bad_index.dsum", false}}) {
+  size_t TornPrefix =
+      recordFrames(readFile(corpusDir() + "truncated_records.dsum")).size();
+  for (const Expectation &E :
+       {Expectation{"pristine.dsum", false, All, 0},
+        Expectation{"corrupt_record.dsum", false, All - 1, 1},
+        Expectation{"truncated_records.dsum", false, TornPrefix, 0},
+        Expectation{"pristine_indexed.dsum", true, All, 0},
+        Expectation{"bad_index.dsum", false, All, 0}}) {
     std::string Error;
     std::unique_ptr<MappedSummaryFile> File =
-        MappedSummaryFile::open(Dir + E.Name, Fp, NumVars, NumAllocs, &Error);
+        openFor(Oracle, corpusDir() + E.Name, &Error);
     ASSERT_NE(File, nullptr) << E.Name << ": " << Error;
     EXPECT_EQ(File->indexedOnOpen(), E.Indexed) << E.Name;
-    EXPECT_EQ(File->records(), Keys.size()) << E.Name;
-    DecodedSummaryRecord R;
-    for (const CachedKey &K : Keys) {
-      ASSERT_TRUE(File->find(K.Canonical, K.State, K.Fields, R)) << E.Name;
-      expectRecordMatches(Pristine, K, R);
-    }
-    EXPECT_EQ(File->corruptRecords(), 0u) << E.Name;
+    size_t Hits = 0;
+    for (const auto &Entry : Oracle.Rec.Published)
+      Hits += probeMatches(*File, Oracle.graph(), Entry);
+    EXPECT_EQ(Hits, E.Hits) << E.Name;
+    EXPECT_EQ(File->corruptRecords(), E.Corrupt) << E.Name;
   }
 }
 

@@ -35,6 +35,7 @@
 #include "ir/Parser.h"
 #include "pag/PAGBuilder.h"
 
+#include "RecordingStore.h"
 #include "TestPrograms.h"
 
 #include <algorithm>
@@ -541,32 +542,26 @@ TEST(TieredStoreTortureTest, ConcurrentFetchPublishCommitStaysExact) {
 
 namespace {
 
-/// Warm a DYNSUM instance over Figure 2 with every Main.main variable,
-/// save it, and return the decoded (key -> summary) list for probing.
+/// Warm a DYNSUM instance over Figure 2 with every variable through a
+/// recording store, save the store, and keep the published (key ->
+/// summary) list for probing.
 struct DiskFixture {
   explicit DiskFixture(const std::string &Path) {
     ir::ParseResult R = ir::parseProgram(dynsum::testing::kFigure2Source);
     EXPECT_TRUE(R.ok()) << R.Error;
     Prog = std::move(R.Prog);
     Built = pag::buildPAG(*Prog);
+    dynsum::testing::RecordingStore Rec;
     analysis::DynSumAnalysis A(*Built.Graph, AnalysisOptions());
+    A.setSummaryExchange(&Rec);
     for (const ir::Variable &V : Prog->variables())
       if (!V.IsGlobal)
         A.query(Built.Graph->nodeOfVar(V.Id));
-    EXPECT_GT(A.cacheSize(), 10u);
-    EXPECT_TRUE(analysis::saveSummariesFile(A, Path));
-
-    // Decode every cached key (packSummaryKey layout: bit 0 = state,
-    // bits 1..32 = node, bits 33..63 = field-stack id) so the store
-    // can be probed record-for-record.
-    const StackPool &Stacks = A.fieldStacks();
-    for (const auto &[Packed, Summary] : A.summaryCache()) {
-      Key K;
-      K.Node = pag::NodeId((Packed >> 1) & 0xffffffffu);
-      K.State = (Packed & 1) == 0 ? RsmState::S1 : RsmState::S2;
-      K.Fields = Stacks.elements(StackId{uint32_t(Packed >> 33)});
-      Saved.emplace_back(K, A.exportSummary(Summary));
-    }
+    EXPECT_GT(Rec.Published.size(), 10u);
+    EXPECT_TRUE(Rec.Store.save(Path, *Built.Graph));
+    for (dynsum::testing::RecordingStore::Entry &E : Rec.Published)
+      Saved.emplace_back(Key{E.Node, std::move(E.Fields), E.State},
+                         std::move(E.Summary));
   }
 
   std::unique_ptr<ir::Program> Prog;
@@ -795,4 +790,69 @@ TEST(TieredStoreDiskTest, ConcurrentColdProbesPromoteOnceAndStayExact) {
   EXPECT_EQ(C.DiskCorrupt, 0u);
   EXPECT_EQ(Store.size(), F.Saved.size());
   std::remove(Path.c_str());
+}
+
+/// save() writes exactly what probes would serve: hot entries, plus the
+/// disk records no hot entry shadows and no commit since the attach
+/// invalidated — each once — and it moves no counter.
+TEST(TieredStoreDiskTest, SaveWritesWhatProbesWouldServe) {
+  std::string Path = ::testing::TempDir() + "/tiered_disk_save_in.dsum";
+  std::string Out = ::testing::TempDir() + "/tiered_disk_save_out.dsum";
+  DiskFixture F(Path);
+  const pag::PAG &G = *F.Built.Graph;
+
+  TieredSummaryStore Store;
+  ASSERT_TRUE(Store.attachDiskTier(Path, G).Attached);
+  ir::MethodId Victim = ir::kNone;
+  for (const auto &[K, S] : F.Saved) {
+    (void)S;
+    if (G.node(K.Node).Method != ir::kNone) {
+      Victim = G.node(K.Node).Method;
+      break;
+    }
+  }
+  ASSERT_NE(Victim, ir::kNone);
+  // Promote every other record, then invalidate the victim's method.
+  PortableSummary Scratch;
+  for (size_t I = 0; I < F.Saved.size(); I += 2) {
+    const Key &K = F.Saved[I].first;
+    ASSERT_TRUE(Store.fetch(K.Node, K.Fields, K.State, Scratch));
+  }
+  InvalidationPlan Plan;
+  Plan.Methods.insert(Victim);
+  Store.beginGeneration(G, Plan);
+
+  StoreCounters Before = Store.counters();
+  size_t SizeBefore = Store.size();
+  uint64_t Written = 0;
+  ASSERT_TRUE(Store.save(Out, G, &Written));
+  StoreCounters After = Store.counters();
+  EXPECT_EQ(Store.size(), SizeBefore);
+  EXPECT_EQ(After.Fetches, Before.Fetches);
+  EXPECT_EQ(After.DiskProbes, Before.DiskProbes);
+  EXPECT_EQ(After.Promoted, Before.Promoted);
+  EXPECT_EQ(After.Publishes, Before.Publishes);
+
+  size_t Live = 0;
+  for (const auto &[K, S] : F.Saved) {
+    (void)S;
+    Live += G.node(K.Node).Method != Victim;
+  }
+  ASSERT_LT(Live, F.Saved.size());
+  EXPECT_EQ(Written, Live);
+
+  TieredSummaryStore Next;
+  TieredSummaryStore::DiskTierStatus St = Next.attachDiskTier(Out, G);
+  ASSERT_TRUE(St.Attached) << St.Error;
+  EXPECT_EQ(St.Records, Live);
+  PortableSummary Got;
+  for (const auto &[K, Want] : F.Saved) {
+    bool Hit = Next.fetch(K.Node, K.Fields, K.State, Got);
+    EXPECT_EQ(Hit, G.node(K.Node).Method != Victim);
+    if (Hit) {
+      EXPECT_TRUE(sameSummary(Got, Want));
+    }
+  }
+  std::remove(Path.c_str());
+  std::remove(Out.c_str());
 }

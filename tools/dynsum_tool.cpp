@@ -22,8 +22,14 @@
 ///                 [--store-stripes=N]
 ///
 /// --threads routes queries and clients through the parallel batch
-/// engine (dynsum only; 0 = one worker per hardware thread); summary
-/// save/load then goes through the engine's shared store.
+/// engine (dynsum only; 0 = one worker per hardware thread).
+///
+/// --load-summaries / --save-summaries go through a summary store —
+/// the engine's under --threads, otherwise one the sequential DYNSUM
+/// instance exchanges summaries with — so both paths persist alike: a
+/// load attaches the file as the store's disk tier (queries promote
+/// what they probe) and a save writes the store, hot tier plus the
+/// attached records it still serves.
 ///
 /// --serve starts an interactive AnalysisService session on stdin: a
 /// line-oriented edit/query loop over the loaded program ("help" lists
@@ -56,7 +62,6 @@
 #include "analysis/Andersen.h"
 #include "analysis/DynSum.h"
 #include "analysis/RefinePts.h"
-#include "analysis/SummaryIO.h"
 #include "clients/Client.h"
 #include "engine/QueryScheduler.h"
 #include "frontend/Frontend.h"
@@ -329,19 +334,24 @@ int runTool(int argc, char **argv) {
     Scheduler = std::make_unique<engine::QueryScheduler>(*Built.Graph, EO);
   }
 
+  // Persistence goes through a summary store (see the file comment).
+  engine::TieredSummaryStore SequentialStore;
+  engine::TieredSummaryStore &Store =
+      Scheduler ? Scheduler->store() : SequentialStore;
+  if (AsDynSum && !Scheduler)
+    AsDynSum->setSummaryExchange(&SequentialStore);
+
   std::string LoadPath = Args.getString("load-summaries", "");
   if (!LoadPath.empty()) {
     if (!AsDynSum) {
       errs() << "error: --load-summaries requires --analysis=dynsum\n";
       return 1;
     }
-    bool Loaded = Scheduler ? Scheduler->loadSummaries(LoadPath)
-                            : analysis::loadSummariesFile(*AsDynSum, LoadPath);
-    if (Loaded)
-      outs() << "loaded "
-             << uint64_t(Scheduler ? Scheduler->store().size()
-                                   : AsDynSum->cacheSize())
-             << " summaries from " << LoadPath << '\n';
+    engine::TieredSummaryStore::DiskTierStatus Loaded =
+        Store.attachDiskTier(LoadPath, *Built.Graph);
+    if (Loaded.Attached)
+      outs() << "loaded " << Loaded.Records << " summaries from " << LoadPath
+             << '\n';
     else
       outs() << "note: could not load summaries from " << LoadPath
              << " (missing or different program); starting cold\n";
@@ -439,13 +449,9 @@ int runTool(int argc, char **argv) {
       errs() << "error: --save-summaries requires --analysis=dynsum\n";
       return 1;
     }
-    bool Saved = Scheduler ? Scheduler->saveSummaries(SavePath)
-                           : analysis::saveSummariesFile(*AsDynSum, SavePath);
-    if (Saved)
-      outs() << "saved "
-             << uint64_t(Scheduler ? Scheduler->store().size()
-                                   : AsDynSum->cacheSize())
-             << " summaries to " << SavePath << '\n';
+    uint64_t Saved = 0;
+    if (Store.save(SavePath, *Built.Graph, &Saved))
+      outs() << "saved " << Saved << " summaries to " << SavePath << '\n';
     else {
       errs() << "error: cannot write " << SavePath << '\n';
       Exit = 1;
