@@ -4,22 +4,24 @@
 /// Incremental-analysis ablation: the IDE/JIT edit loop the paper
 /// motivates ("software may undergo a lot of changes", Section 5.3).
 ///
-/// A warm EditSession absorbs a stream of method edits; after each
-/// commit the full query batch re-runs.  Two rows:
+/// A stream of method edits; after each one the full query batch
+/// re-runs.  Two rows:
 ///
-///   from-scratch  a fresh DYNSUM instance per cycle (no reuse at all)
-///   per-method    one EditSession: summaries survive except for
+///   from-scratch  a fresh DYNSUM instance over a fresh buildPAG per
+///                 cycle (no reuse at all)
+///   per-method    one AnalysisService (one engine thread, foreground
+///                 commits): summaries survive in its store except for
 ///                 edited/boundary-changed methods
 ///
 /// The per-method row should approach the no-edit steady state: each
 /// edit invalidates a handful of methods, so most of each re-query runs
-/// on cached summaries.
+/// on stored summaries.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 
-#include "incremental/EditSession.h"
+#include "service/AnalysisService.h"
 #include "support/OStream.h"
 #include "support/PrettyTable.h"
 #include "support/Timer.h"
@@ -27,7 +29,6 @@
 using namespace dynsum;
 using namespace dynsum::analysis;
 using namespace dynsum::bench;
-using namespace dynsum::incremental;
 
 namespace {
 
@@ -40,10 +41,10 @@ std::vector<ir::VarId> pickQueries(const ir::Program &P, size_t Stride) {
   return Out;
 }
 
-/// Applies edit cycle \p I to \p S: appends an allocation (plus a copy
+/// Applies edit cycle \p I to \p P: appends an allocation (plus a copy
 /// into an existing variable when possible) to a pseudo-random method.
-void applyEdit(EditSession &S, size_t I) {
-  ir::Program &P = S.program();
+/// Program::addStatement stamps the edit clock.
+void applyEdit(ir::Program &P, size_t I) {
   ir::MethodId M = P.methods()[(I * 37 + 11) % P.methods().size()].Id;
   ir::TypeId T = P.classes().back().Id;
   ir::VarId Fresh = P.createLocal(
@@ -53,14 +54,14 @@ void applyEdit(EditSession &S, size_t I) {
   New.Dst = Fresh;
   New.Type = T;
   New.Alloc = P.createAllocSite(T, M, Symbol{});
-  S.addStatement(M, std::move(New));
+  P.addStatement(M, std::move(New));
   for (const ir::Statement &St : P.method(M).Stmts)
     if (St.Kind == ir::StmtKind::Assign) {
       ir::Statement Copy;
       Copy.Kind = ir::StmtKind::Assign;
       Copy.Src = Fresh;
       Copy.Dst = St.Dst;
-      S.addStatement(M, std::move(Copy));
+      P.addStatement(M, std::move(Copy));
       break;
     }
 }
@@ -96,16 +97,15 @@ int main(int argc, char **argv) {
   {
     auto P = generateProgram(Spec, Gen);
     std::vector<ir::VarId> Queries = pickQueries(*P, 61);
-    EditSession S(std::move(P), Opts.analysisOptions());
     CycleTotals Totals;
     Timer Clock;
     for (unsigned I = 0; I < Cycles; ++I) {
-      applyEdit(S, I);
-      S.commit();
-      // A brand-new analysis per cycle: no reuse whatsoever.
-      DynSumAnalysis Fresh(S.graph(), Opts.analysisOptions());
+      applyEdit(*P, I);
+      // A brand-new graph and analysis per cycle: no reuse whatsoever.
+      pag::BuiltPAG Built = pag::buildPAG(*P);
+      DynSumAnalysis Fresh(*Built.Graph, Opts.analysisOptions());
       for (ir::VarId V : Queries)
-        Totals.Steps += Fresh.query(S.graph().nodeOfVar(V)).Steps;
+        Totals.Steps += Fresh.query(Built.Graph->nodeOfVar(V)).Steps;
     }
     Totals.Seconds = Clock.seconds();
     T.row()
@@ -120,18 +120,21 @@ int main(int argc, char **argv) {
   {
     auto P = generateProgram(Spec, Gen);
     std::vector<ir::VarId> Queries = pickQueries(*P, 61);
-    EditSession S(std::move(P), Opts.analysisOptions());
-    for (ir::VarId V : Queries)
-      S.queryVar(V); // warm start
+    service::ServiceOptions SO;
+    SO.Engine = Opts.engineOptions(1);
+    service::AnalysisService S(std::move(P), SO);
+    S.queryVars(Queries); // warm start
 
     CycleTotals Totals;
     Timer Clock;
     for (unsigned I = 0; I < Cycles; ++I) {
-      applyEdit(S, I);
-      CommitStats Stats = S.commit();
+      S.editProgram([I](ir::Program &Q) {
+        applyEdit(Q, I);
+        return std::vector<ir::MethodId>{};
+      });
+      incremental::CommitStats Stats = S.submitCommit().wait();
       Totals.Dropped += Stats.SummariesDropped;
-      for (ir::VarId V : Queries)
-        Totals.Steps += S.queryVar(V).Steps;
+      Totals.Steps += S.queryVars(Queries).Stats.TotalSteps;
     }
     Totals.Seconds = Clock.seconds();
     T.row()
@@ -139,7 +142,7 @@ int main(int argc, char **argv) {
         .cell(Totals.Steps / Cycles)
         .cell(Totals.Seconds / Cycles, 4)
         .cell(Totals.Dropped / Cycles)
-        .cell(uint64_t(S.analysis().cacheSize()));
+        .cell(uint64_t(S.stats().StoreSize));
   }
 
   T.print(outs());

@@ -5,11 +5,12 @@
    must resolve to an existing file or directory (http(s)/mailto links
    and pure #anchors are skipped; a #fragment on a relative link is
    stripped before the existence check).
-2. Header-banner check: every src/service/*.{h,cpp} and
-   src/server/*.{h,cpp} file must open with the repo's //===--- banner
-   and carry a \\file doxygen marker, like the rest of src/.
+2. Header-banner check: every *.{h,cpp} file in every subdirectory of
+   src/ must open with the repo's //===--- banner and carry a \\file
+   doxygen marker.
 
-Exits non-zero with one line per violation.
+The summary line also prints the line count of src/, which the ROADMAP
+tracks like a perf number.  Exits non-zero with one line per violation.
 """
 
 import re
@@ -49,16 +50,16 @@ def check_banners(src_files):
 def main():
     md_files = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     md_files = [f for f in md_files if f.exists()]
-    src_files = []
-    for subdir in ("service", "server"):
-        src_files += sorted((REPO / "src" / subdir).glob("*.h"))
-        src_files += sorted((REPO / "src" / subdir).glob("*.cpp"))
+    src_files = sorted(f for f in (REPO / "src").glob("*/*")
+                       if f.suffix in (".h", ".cpp"))
+    src_lines = sum(len(f.read_bytes().splitlines())
+                    for f in (REPO / "src").rglob("*") if f.is_file())
 
     problems = check_links(md_files) + check_banners(src_files)
     for p in problems:
         print(p)
     print(f"checked {len(md_files)} markdown files, "
-          f"{len(src_files)} service/server sources: "
+          f"{len(src_files)} sources; src/ holds {src_lines} lines: "
           f"{'FAIL' if problems else 'OK'}")
     return 1 if problems else 0
 

@@ -2,9 +2,10 @@
 # Crash-recovery smoke: kill -9 a serve session that is saving its
 # summary snapshot in a tight loop, then assert the snapshot on disk
 # still loads — it must be either the previous save or the new one,
-# never a torn mix.  This exercises the atomic save path in
-# SummaryIO::saveSummariesFile (temp file + fsync + rename): a crash at
-# ANY instant may strand a *.tmp file, but the target path is only ever
+# never a torn mix.  This exercises the atomic save path,
+# analysis::SummaryFileWriter::write (temp file + fsync + rename), which
+# every save reaches through TieredSummaryStore::save: a crash at ANY
+# instant may strand a *.tmp file, but the target path is only ever
 # touched by rename(2).
 #
 # A second case covers GRACEFUL interruption: a serve session holding

@@ -470,5 +470,3 @@ void DynSumAnalysis::invalidateMethod(ir::MethodId M) {
       ++It;
   }
 }
-
-void DynSumAnalysis::clearTrivialMemo() { TrivialSummaries.clear(); }

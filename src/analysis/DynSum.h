@@ -222,14 +222,6 @@ public:
   /// (globals and the null object).
   void invalidateMethod(ir::MethodId M);
 
-  /// Drops the trivial-summary memo (Section 4.3 shortcut summaries for
-  /// boundary nodes without local edges).  Commits call this: the memo
-  /// keys boundary flags a rebuild may have changed, and unlike the
-  /// real cache it carries no per-method ownership to diff against.
-  /// PAG node ids themselves are stable across delta builds, so the
-  /// summary cache proper never needs rewriting.
-  void clearTrivialMemo();
-
   /// Access to the interned field-stack pool (tests, benches).
   StackPool &fieldStacks() { return FieldStacks; }
   const StackPool &fieldStacks() const { return FieldStacks; }

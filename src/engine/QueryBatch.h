@@ -29,10 +29,6 @@ struct EngineOptions {
   /// Worker threads per batch; 0 picks std::thread::hardware_concurrency
   /// (at least 1).  A single thread runs inline without spawning.
   unsigned NumThreads = 0;
-  /// Publish every complete PPTA summary to the scheduler's shared store
-  /// so other workers (and later batches) skip recomputing it — the
-  /// paper's local reachability reuse, extended across threads.
-  bool ShareSummaries = true;
   /// Per-worker analysis tunables (budget, field depth, caching).
   analysis::AnalysisOptions Analysis;
 };

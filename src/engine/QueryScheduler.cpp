@@ -28,12 +28,11 @@ unsigned QueryScheduler::effectiveThreads(size_t NumQueries) const {
 void QueryScheduler::runShard(const QueryBatch &B, size_t Shard,
                               unsigned Stride,
                               const analysis::AnalysisOptions &AnalysisOpts,
-                              analysis::SummaryExchange *Exchange,
+                              analysis::SummaryExchange &Exchange,
                               std::vector<QueryOutcome> &Outcomes,
                               BatchStats &Stats) {
   DynSumAnalysis A(Graph, AnalysisOpts);
-  if (Exchange)
-    A.setSummaryExchange(Exchange);
+  A.setSummaryExchange(&Exchange);
 
   const std::vector<pag::NodeId> &Nodes = B.nodes();
   for (size_t I = Shard; I < Nodes.size(); I += Stride) {
@@ -90,8 +89,6 @@ BatchResult QueryScheduler::run(const QueryBatch &B,
   // against an owned store mid-batch).
   SummaryStoreEpoch Epoch(*StorePtr,
                           HasPinnedGen ? PinnedGen : StorePtr->generation());
-  analysis::SummaryExchange *Exchange =
-      Opts.ShareSummaries ? &Epoch : nullptr;
   Result.Stats.Generation = Epoch.generation();
 
   unsigned Threads = effectiveThreads(B.size());
@@ -106,7 +103,7 @@ BatchResult QueryScheduler::run(const QueryBatch &B,
   // is joined, and the first exception is rethrown here to the caller.
   std::vector<BatchStats> ShardStats(Threads);
   parallelJobs(Threads, Threads, [&](size_t W) {
-    runShard(B, W, Threads, AnalysisOpts, Exchange, Result.Outcomes,
+    runShard(B, W, Threads, AnalysisOpts, Epoch, Result.Outcomes,
              ShardStats[W]);
   });
 

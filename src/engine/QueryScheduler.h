@@ -80,13 +80,13 @@ public:
   const SharedSummaryStore &store() const { return *StorePtr; }
 
 private:
-  /// Runs queries [\p Indices] of \p B on one private analysis instance,
-  /// writing outcomes straight into their slots of \p Outcomes.
-  /// \p Exchange is the batch's pinned-epoch store view (null when
-  /// sharing is off).
+  /// Runs queries \p Shard, \p Shard + \p Stride, ... of \p B on one
+  /// private analysis instance, writing outcomes straight into their
+  /// slots of \p Outcomes.  \p Exchange is the batch's pinned-epoch
+  /// store view: every worker fetches from and publishes to it.
   void runShard(const QueryBatch &B, size_t Shard, unsigned Stride,
                 const analysis::AnalysisOptions &AnalysisOpts,
-                analysis::SummaryExchange *Exchange,
+                analysis::SummaryExchange &Exchange,
                 std::vector<QueryOutcome> &Outcomes, BatchStats &Stats);
 
   const pag::PAG &Graph;

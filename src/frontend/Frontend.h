@@ -14,8 +14,8 @@
 /// tracking" in ir/Program.h) that the incremental layers key on.
 /// Those append-only ids are what the PAG's persistent node table is
 /// keyed by, so identity is stable from source symbol to PAG node to
-/// service summary — edits after compilation (EditSession,
-/// AnalysisService) patch per method instead of rebuilding.
+/// service summary — edits after compilation (AnalysisService) patch
+/// per method instead of rebuilding.
 ///
 //===----------------------------------------------------------------------===//
 

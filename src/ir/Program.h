@@ -198,18 +198,18 @@ public:
   /// Removes every statement of \p M matching \p Pred; returns how
   /// many.  Touches \p M when anything was removed, so remove-only
   /// edits stamp the edit clock exactly like addStatement does — the
-  /// edit layers (EditSession, AnalysisService) forward here instead of
-  /// erasing by hand precisely so the stamp cannot be forgotten.
+  /// edit layer (AnalysisService) forwards here instead of erasing by
+  /// hand precisely so the stamp cannot be forgotten.
   size_t removeStatements(MethodId M,
                           const std::function<bool(const Statement &)> &Pred);
 
   //===------------------------------------------------------------------===//
   // Edit tracking
   //
-  // The incremental layers (EditSession, AnalysisService, the delta PAG
-  // builder) need to name exactly which methods changed between two
-  // builds.  The program keeps a monotonic edit clock: every mutation of
-  // a method stamps that method with the next tick.  A consumer records
+  // The incremental layers (AnalysisService, the delta PAG builder)
+  // need to name exactly which methods changed between two builds.  The
+  // program keeps a monotonic edit clock: every mutation of a method
+  // stamps that method with the next tick.  A consumer records
   // the clock at build time and later asks which methods moved past it —
   // an O(#methods) integer scan, no statement hashing.
   //
@@ -222,7 +222,7 @@ public:
 
   /// Stamps \p M as edited at the next clock tick.  addStatement calls
   /// this; direct mutation through method(M) must call it explicitly
-  /// (EditSession::markDirty and friends forward here).
+  /// (AnalysisService::markDirty and editProgram forward here).
   void touchMethod(MethodId M);
 
   /// The current edit clock (starts at 0; bumped by every touch).

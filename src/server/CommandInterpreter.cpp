@@ -213,8 +213,11 @@ void CommandInterpreter::printHelp(OStream &Out, bool WithFiles) {
          "later edits\n"
          "                          become pending again)\n";
   if (WithFiles)
-    Out << "  save <path> | load <path>      persist / warm-start "
-           "summaries\n";
+    Out << "  save <path>             write the summaries to a DSUM "
+           "snapshot\n"
+           "  load <path>             attach a snapshot as the disk tier; "
+           "replaces any\n"
+           "                          snapshot loaded before (no merge)\n";
   Out << "  deadline <ms>           per-query wall-clock deadline for "
          "later queries\n"
          "                          (0 turns it off; overrun queries "

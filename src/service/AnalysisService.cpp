@@ -181,19 +181,16 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   // re-lower (O(dirty), not O(program)).  A rejected commit leaves
   // everything — generation chain, store, boundary cache, committed
   // clock — untouched; the edits stay buffered until fixed.
-  if (Opts.ValidateCommits) {
-    std::vector<std::string> Problems = ir::validateMethods(
-        *Prog, Prog->methodsTouchedSince(CommittedClock));
-    if (!Problems.empty()) {
-      Stats.Outcome = CommitOutcome::ValidationRejected;
-      Stats.Error = Problems.front();
-      if (Problems.size() > 1)
-        Stats.Error +=
-            " (+" + std::to_string(Problems.size() - 1) + " more)";
-      Stats.Seconds = Clock.seconds();
-      CommitValidationRejects.fetch_add(1, std::memory_order_relaxed);
-      return Stats;
-    }
+  std::vector<std::string> Problems = ir::validateMethods(
+      *Prog, Prog->methodsTouchedSince(CommittedClock));
+  if (!Problems.empty()) {
+    Stats.Outcome = CommitOutcome::ValidationRejected;
+    Stats.Error = Problems.front();
+    if (Problems.size() > 1)
+      Stats.Error += " (+" + std::to_string(Problems.size() - 1) + " more)";
+    Stats.Seconds = Clock.seconds();
+    CommitValidationRejects.fetch_add(1, std::memory_order_relaxed);
+    return Stats;
   }
 
   // The pre-edit boundary flags are usually carried forward from the
@@ -241,7 +238,6 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
         CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Exec);
     Stats.MethodsInvalidated = Plan.Methods.size();
     Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
-    Stats.SharedSummariesDropped = Stats.SummariesDropped;
 
     // Publish: from here on new batches pin the new generation;
     // batches that already grabbed Old keep it alive and drain against

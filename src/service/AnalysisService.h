@@ -28,16 +28,18 @@
 ///     the edit actually touches.  Untouched chunks stay shared,
 ///     immutably, with every retained generation.  The patched graph is
 ///     produced by pag::buildPAGDelta (only the edited methods'
-///     segments re-lower, node ids never move), the shared
-///     incremental::planCommitInvalidation drops exactly the summaries the
-///     edit can invalidate from the service-owned SharedSummaryStore,
-///     the store generation bumps and the current-generation pointer
-///     swaps.  In-flight batches keep their old generation alive
-///     through the shared_ptr and drain against the old PAG; their
-///     store probes miss from then on (stale epoch), so answers stay
-///     correct for the epoch they report.  CommitMode::Scratch is the
-///     A/B escape hatch: it force-re-lowers every method (same stable
-///     ids, O(program) cost) so delta builds can be cross-checked live.
+///     segments re-lower, node ids never move),
+///     incremental::planCommitInvalidation names exactly the summaries
+///     the edit can invalidate, they are dropped from the service-owned
+///     SharedSummaryStore, the store generation bumps and the
+///     current-generation pointer swaps.  This is the one commit
+///     pipeline: every edit reaches the summaries through it.  In-flight
+///     batches keep their old generation alive through the shared_ptr
+///     and drain against the old PAG; their store probes miss from then
+///     on (stale epoch), so answers stay correct for the epoch they
+///     report.  CommitMode::Scratch is the A/B escape hatch: it
+///     force-re-lowers every method (same stable ids, O(program) cost)
+///     so delta builds can be cross-checked live.
 ///
 ///   * All commits go through ONE entry point: submitCommit() takes a
 ///     CommitRequest (mode + foreground/background) and returns a
@@ -91,8 +93,8 @@
 #define DYNSUM_SERVICE_ANALYSISSERVICE_H
 
 #include "engine/QueryScheduler.h"
-#include "incremental/EditSession.h"
 #include "incremental/Invalidation.h"
+#include "pag/PAGBuilder.h"
 #include "support/ExecContext.h"
 
 #include <atomic>
@@ -150,11 +152,6 @@ struct ServiceOptions {
   unsigned KeepGenerations = 0;
   /// Load-shedding watermarks (see OverloadPolicy; defaults disable).
   OverloadPolicy Overload;
-  /// Run the ir::Validator over the dirty methods before every commit
-  /// and reject the commit (CommitOutcome::ValidationRejected, edits
-  /// kept buffered, generation chain untouched) when they are invalid.
-  /// O(dirty methods), not O(program).
-  bool ValidateCommits = true;
   /// How many times the background committer retries a commit whose
   /// build threw (transient faults) before quarantining the edit.
   /// Retries back off exponentially from 1 ms, capped at 50 ms.
@@ -380,8 +377,10 @@ public:
   /// invalidates from the shared store, and swaps the current
   /// generation — on the calling thread, or on the background committer
   /// when Req.Background.  In-flight batches drain against the previous
-  /// generation.  A clean commit is a no-op whose ticket completes with
-  /// empty stats.
+  /// generation.  The ir::Validator checks the dirty methods first; an
+  /// invalid edit is rejected (CommitOutcome::ValidationRejected) and
+  /// stays buffered.  A clean commit is a no-op whose ticket completes
+  /// with empty stats.
   CommitTicket submitCommit(const CommitRequest &Req = CommitRequest());
 
   /// Blocks until the background queue is empty and no background
@@ -452,8 +451,11 @@ public:
 
   /// Commits pending edits, then attaches a snapshot as the store's
   /// disk tier (TieredSummaryStore::attachDiskTier — nothing is read
-  /// eagerly; queries promote what they probe).  Returns false, leaving
-  /// the store untouched, on an unreadable or damaged header or a
+  /// eagerly; queries promote what they probe).  A load replaces any
+  /// snapshot attached before it: records of the earlier file that no
+  /// query promoted are no longer served, and a later save does not
+  /// write them.  Returns false, leaving the store and its attached
+  /// tier untouched, on an unreadable or damaged header or a
   /// program-fingerprint mismatch; \p Records, when given, receives the
   /// number of summaries the tier serves.
   bool loadSummaries(const std::string &Path, uint64_t *Records = nullptr);

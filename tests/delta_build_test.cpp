@@ -10,8 +10,9 @@
 /// the delta-patched graph must be isomorphic to a cold buildPAG of the
 /// same program: identical node flags, identical live edge multiset
 /// (modulo slot numbering), clean CSR invariants despite holes and slot
-/// reuse, and identical DYNSUM answers.  A parallel EditSession replays
-/// the same rounds and must stay warm-equal to cold throughout.
+/// reuse, and identical DYNSUM answers.  A warm AnalysisService absorbs
+/// fuzzed rounds through editProgram and foreground commits, and must
+/// stay warm-equal to cold throughout.
 ///
 /// The sharded (multi-worker) delta builds and the async service
 /// commits run the same oracle in tests/parallel_commit_test.cpp.
@@ -20,9 +21,9 @@
 
 #include "analysis/DynSum.h"
 #include "frontend/Frontend.h"
-#include "incremental/EditSession.h"
 #include "ir/Validator.h"
 #include "pag/PAGBuilder.h"
+#include "service/AnalysisService.h"
 
 #include "IrEditFuzzer.h"
 #include "MiniJavaFuzzer.h"
@@ -103,33 +104,38 @@ TEST_P(DeltaFuzzTest, WarmSessionMatchesColdAcrossFuzzedEditRounds) {
   ASSERT_TRUE(R.ok()) << R.Diags.str();
   ASSERT_TRUE(ir::validate(*R.Prog).empty());
 
-  incremental::EditSession S(std::move(R.Prog), AnalysisOptions());
-  ir::Program &P = S.program();
+  service::AnalysisService S(std::move(R.Prog));
+  const ir::Program &P = S.program();
 
-  // Warm the session before any edits.
-  for (ir::VarId V : sampleVars(P, 5))
-    S.queryVar(V);
+  // Warm the service before any edits.
+  S.queryVars(sampleVars(P, 5));
 
   IrEditFuzzer Edits(GetParam() * 31 + 7);
   for (unsigned Round = 0; Round < kRounds; ++Round) {
-    Edits.apply(P, kEditsPerRound);
-    // The edit fuzzer mutates the program directly; the program's own
-    // edit clock carries the dirty set into commit().
+    // The fuzzer edits through Program's own mutators, so the edit
+    // clock carries the dirty set into the commit.
+    S.editProgram([&](ir::Program &Q) {
+      Edits.apply(Q, kEditsPerRound);
+      return std::vector<ir::MethodId>{};
+    });
     ASSERT_TRUE(ir::validate(P).empty());
-    S.commit();
+    ASSERT_EQ(S.submitCommit().wait().Outcome,
+              incremental::CommitOutcome::Committed);
 
     pag::BuiltPAG Cold = pag::buildPAG(P);
     analysis::DynSumAnalysis ColdA(*Cold.Graph, AnalysisOptions());
-    for (ir::VarId V : sampleVars(P, 5)) {
-      QueryResult Warm = S.queryVar(V);
-      QueryResult ColdR = ColdA.query(Cold.Graph->nodeOfVar(V));
+    std::vector<ir::VarId> Sample = sampleVars(P, 5);
+    service::ServiceBatchResult Warm = S.queryVars(Sample);
+    for (size_t I = 0; I < Sample.size(); ++I) {
+      const engine::QueryOutcome &W = Warm.Outcomes[I];
+      QueryResult ColdR = ColdA.query(Cold.Graph->nodeOfVar(Sample[I]));
       // Completed queries must match; a budget blowout on either side
-      // makes the partial answer order-dependent (and warm caches
+      // makes the partial answer order-dependent (and warm summaries
       // legitimately stretch the budget further than cold runs).
-      if (Warm.BudgetExceeded || ColdR.BudgetExceeded)
+      if (W.BudgetExceeded || ColdR.BudgetExceeded)
         continue;
-      EXPECT_EQ(Warm.allocSites(), ColdR.allocSites())
-          << "round " << Round << ", " << P.describeVar(V);
+      EXPECT_EQ(W.AllocSites, ColdR.allocSites())
+          << "round " << Round << ", " << P.describeVar(Sample[I]);
     }
   }
 }

@@ -89,24 +89,6 @@ TEST(EngineTest, BatchedEqualsSequentialAcrossThreadCounts) {
   }
 }
 
-TEST(EngineTest, SharingOffStillMatchesSequential) {
-  GenFixture F("soot-c");
-  AnalysisOptions AO;
-  std::vector<QueryOutcome> Sequential =
-      runSequential(*F.Built.Graph, F.Nodes, AO);
-
-  EngineOptions EO;
-  EO.NumThreads = 4;
-  EO.ShareSummaries = false;
-  QueryScheduler S(*F.Built.Graph, EO);
-  BatchResult R = S.run(F.Nodes);
-  ASSERT_EQ(R.Outcomes.size(), Sequential.size());
-  for (size_t I = 0; I < Sequential.size(); ++I)
-    EXPECT_EQ(R.Outcomes[I].AllocSites, Sequential[I].AllocSites) << I;
-  EXPECT_EQ(R.Stats.SharedHits, 0u);
-  EXPECT_EQ(S.store().size(), 0u);
-}
-
 TEST(EngineTest, SharedStoreIsReusedWithinAndAcrossBatches) {
   GenFixture F("soot-c");
   EngineOptions EO;

@@ -1,14 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests of the incremental EditSession: edits take effect, untouched
-/// summaries survive, and warm (incremental) answers always equal cold
-/// (from-scratch) answers — including the boundary-flag-flip case that
-/// naive per-method invalidation would get wrong.
+/// Tests of the edit → commit → re-query loop through AnalysisService,
+/// the one commit pipeline: edits take effect at the commit, untouched
+/// summaries survive in the store, and warm (incremental) answers always
+/// equal cold (from-scratch) answers — including the boundary-flag-flip
+/// case that naive per-method invalidation would get wrong.  Every batch
+/// is a fresh DYNSUM that trusts only the store, so a stale summary
+/// left behind by a commit shows up as a wrong answer.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "incremental/EditSession.h"
+#include "service/AnalysisService.h"
 
 #include "ir/Parser.h"
 #include "ir/Validator.h"
@@ -16,10 +19,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace dynsum;
-using namespace dynsum::incremental;
 using analysis::AnalysisOptions;
 using analysis::QueryResult;
+using engine::QueryOutcome;
+using incremental::CommitOutcome;
+using incremental::CommitStats;
+using service::AnalysisService;
+using service::ServiceBatchResult;
 
 namespace {
 
@@ -50,6 +59,22 @@ ir::AllocId allocOf(const ir::Program &P, std::string_view Label) {
   return ir::kNone;
 }
 
+bool contains(const QueryOutcome &O, ir::AllocId A) {
+  return std::find(O.AllocSites.begin(), O.AllocSites.end(), A) !=
+         O.AllocSites.end();
+}
+
+/// Appends "\p Dst = new A @\p Label" to \p M.
+void addAlloc(ir::Program &P, ir::MethodId M, ir::VarId Dst,
+              std::string_view Label) {
+  ir::Statement New;
+  New.Kind = ir::StmtKind::Alloc;
+  New.Dst = Dst;
+  New.Type = P.findClass(P.names().lookup("A"));
+  New.Alloc = P.createAllocSite(New.Type, M, P.name(std::string(Label)));
+  P.addStatement(M, std::move(New));
+}
+
 const char *kTwoMethodSource = R"(
 class A {}
 class Box { fields f }
@@ -66,67 +91,59 @@ method main() {
 }
 )";
 
-TEST(EditSessionTest, AddedAllocationVisibleAfterCommit) {
+TEST(IncrementalCommitTest, AddedAllocationVisibleAfterCommit) {
   auto P = parse(kTwoMethodSource);
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::VarId Other = varOf(Prog, "main", "other");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::VarId Other = varOf(*P, "main", "other");
 
-  EditSession S(std::move(P), AnalysisOptions());
-  QueryResult R0 = S.queryVar(Other);
-  EXPECT_EQ(R0.Targets.size(), 1u);
+  AnalysisService S(std::move(P));
+  EXPECT_EQ(S.queryVar(Other).AllocSites.size(), 1u);
 
-  // other = new A @onew
-  ir::Statement New;
-  New.Kind = ir::StmtKind::Alloc;
-  New.Dst = Other;
-  New.Type = S.program().findClass(S.program().names().lookup("A"));
-  New.Alloc = S.program().createAllocSite(New.Type, Main,
-                                          S.program().name("onew"));
-  S.addStatement(Main, std::move(New));
+  S.editProgram([&](ir::Program &Q) {
+    addAlloc(Q, Main, Other, "onew"); // other = new A @onew
+    return std::vector<ir::MethodId>{};
+  });
+  S.submitCommit().wait();
 
-  QueryResult R1 = S.queryVar(Other);
-  EXPECT_EQ(R1.Targets.size(), 2u);
-  EXPECT_TRUE(R1.contains(allocOf(S.program(), "onew")));
+  QueryOutcome R1 = S.queryVar(Other);
+  EXPECT_EQ(R1.AllocSites.size(), 2u);
+  EXPECT_TRUE(contains(R1, allocOf(S.program(), "onew")));
 }
 
-TEST(EditSessionTest, RemovedStoreShrinksPointsTo) {
+TEST(IncrementalCommitTest, RemovedStoreShrinksPointsTo) {
   auto P = parse(kTwoMethodSource);
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::VarId R = varOf(Prog, "main", "r");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::VarId R = varOf(*P, "main", "r");
 
-  EditSession S(std::move(P), AnalysisOptions());
-  EXPECT_EQ(S.queryVar(R).Targets.size(), 1u);
+  AnalysisService S(std::move(P));
+  EXPECT_EQ(S.queryVar(R).AllocSites.size(), 1u);
 
   size_t Removed = S.removeStatements(Main, [](const ir::Statement &St) {
     return St.Kind == ir::StmtKind::Store;
   });
   EXPECT_EQ(Removed, 1u);
-  EXPECT_TRUE(S.queryVar(R).Targets.empty())
+  S.submitCommit().wait();
+  EXPECT_TRUE(S.queryVar(R).AllocSites.empty())
       << "without the store, helper finds nothing in box.f";
 }
 
-TEST(EditSessionTest, UntouchedMethodSummariesSurvive) {
+TEST(IncrementalCommitTest, UntouchedMethodSummariesSurvive) {
   auto P = parse(kTwoMethodSource);
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::VarId R = varOf(Prog, "main", "r");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::VarId R = varOf(*P, "main", "r");
+  ir::VarId Other = varOf(*P, "main", "other");
 
-  EditSession S(std::move(P), AnalysisOptions());
-  S.queryVar(R); // warm the cache through helper()
-  size_t Warm = S.analysis().cacheSize();
+  AnalysisService S(std::move(P));
+  S.queryVar(R); // warm the store through helper()
+  size_t Warm = S.stats().StoreSize;
   ASSERT_GT(Warm, 0u);
 
   // Edit main only; helper's summaries must survive.
-  ir::Statement New;
-  New.Kind = ir::StmtKind::Alloc;
-  New.Dst = varOf(S.program(), "main", "other");
-  New.Type = S.program().findClass(S.program().names().lookup("A"));
-  New.Alloc =
-      S.program().createAllocSite(New.Type, Main, S.program().name("onew"));
-  S.addStatement(Main, std::move(New));
-  CommitStats Stats = S.commit();
+  S.editProgram([&](ir::Program &Q) {
+    addAlloc(Q, Main, Other, "onew");
+    return std::vector<ir::MethodId>{};
+  });
+  CommitStats Stats = S.submitCommit().wait();
 
   EXPECT_LT(Stats.SummariesDropped, Warm)
       << "per-method invalidation must not clear everything";
@@ -134,56 +151,41 @@ TEST(EditSessionTest, UntouchedMethodSummariesSurvive) {
   EXPECT_EQ(Stats.MethodsRelowered, 1u);
 }
 
-TEST(EditSessionTest, AddingAVariableKeepsNodeIdsStable) {
+/// The node ids themselves are pinned at the buildPAGDelta level
+/// (pag_test RebuildTest.AddingAVariableKeepsNodeIdsStable); here the
+/// warm store keeps answering over the patched graph, and the new
+/// variable answers too.
+TEST(IncrementalCommitTest, AddingAVariableKeepsAnswersStable) {
   auto P = parse(kTwoMethodSource);
   ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
   ir::VarId R = varOf(*P, "main", "r");
 
-  EditSession S(std::move(P), AnalysisOptions());
-  QueryResult Before = S.queryVar(R);
-  ASSERT_GT(S.analysis().cacheSize(), 0u);
-
-  // Record every pre-edit node id; the delta build must not move any.
-  std::vector<pag::NodeId> VarNodes, AllocNodes;
-  for (const ir::Variable &V : S.program().variables())
-    VarNodes.push_back(S.graph().nodeOfVar(V.Id));
-  for (const ir::AllocSite &A : S.program().allocs())
-    AllocNodes.push_back(S.graph().nodeOfAlloc(A.Id));
+  AnalysisService S(std::move(P));
+  QueryOutcome Before = S.queryVar(R);
+  ASSERT_GT(S.stats().StoreSize, 0u);
 
   // A new local + alloc: both append fresh node ids at the end.
-  ir::Program &Q = S.program();
-  ir::VarId Fresh = Q.createLocal(Q.name("fresh"), Main, ir::kObjectType);
-  ir::Statement New;
-  New.Kind = ir::StmtKind::Alloc;
-  New.Dst = Fresh;
-  New.Type = Q.findClass(Q.names().lookup("A"));
-  New.Alloc = Q.createAllocSite(New.Type, Main, Q.name("ofresh"));
-  S.addStatement(Main, std::move(New));
-  CommitStats Stats = S.commit();
+  ir::VarId Fresh = ir::kNone;
+  S.editProgram([&](ir::Program &Q) {
+    Fresh = Q.createLocal(Q.name("fresh"), Main, ir::kObjectType);
+    addAlloc(Q, Main, Fresh, "ofresh");
+    return std::vector<ir::MethodId>{};
+  });
+  CommitStats Stats = S.submitCommit().wait();
   EXPECT_EQ(Stats.MethodsRelowered, 1u);
 
-  for (size_t I = 0; I < VarNodes.size(); ++I)
-    EXPECT_EQ(S.graph().nodeOfVar(ir::VarId(I)), VarNodes[I])
-        << "variable node id moved";
-  for (size_t I = 0; I < AllocNodes.size(); ++I)
-    EXPECT_EQ(S.graph().nodeOfAlloc(ir::AllocId(I)), AllocNodes[I])
-        << "object node id moved";
-  EXPECT_GE(S.graph().nodeOfVar(Fresh), VarNodes.size() + AllocNodes.size())
-      << "new nodes append after every existing id";
-
-  // Warm summaries keep answering correctly over the patched graph.
-  QueryResult After = S.queryVar(R);
-  EXPECT_EQ(Before.allocSites(), After.allocSites());
-  QueryResult FreshR = S.queryVar(Fresh);
-  ASSERT_EQ(FreshR.Targets.size(), 1u);
-  EXPECT_TRUE(FreshR.contains(allocOf(S.program(), "ofresh")));
+  QueryOutcome After = S.queryVar(R);
+  EXPECT_EQ(Before.AllocSites, After.AllocSites);
+  QueryOutcome FreshR = S.queryVar(Fresh);
+  ASSERT_EQ(FreshR.AllocSites.size(), 1u);
+  EXPECT_TRUE(contains(FreshR, allocOf(S.program(), "ofresh")));
 }
 
 /// The boundary-flag regression: helper() starts out *uncalled*; its
 /// formal has no incoming entry edge, so the summary for t records no
 /// boundary tuple.  Adding the first call must invalidate helper's
-/// summaries even though helper itself was never edited.
-TEST(EditSessionTest, FirstCallToAMethodInvalidatesItsSummaries) {
+/// summaries in the store even though helper itself was never edited.
+TEST(IncrementalCommitTest, FirstCallToAMethodInvalidatesItsSummaries) {
   auto P = parse(R"(
     class A {}
     class Box { fields f }
@@ -197,74 +199,87 @@ TEST(EditSessionTest, FirstCallToAMethodInvalidatesItsSummaries) {
       box.f = a
     }
   )");
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::MethodId Helper = Prog.findFreeMethod(Prog.names().lookup("helper"));
-  ir::VarId T = varOf(Prog, "helper", "t");
-  ir::VarId Box = varOf(Prog, "main", "box");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::MethodId Helper = P->findFreeMethod(P->names().lookup("helper"));
+  ir::VarId T = varOf(*P, "helper", "t");
+  ir::VarId Box = varOf(*P, "main", "box");
 
-  EditSession S(std::move(P), AnalysisOptions());
+  AnalysisService S(std::move(P));
   // Query t while helper has no callers: nothing can flow into b.
-  EXPECT_TRUE(S.queryVar(T).Targets.empty());
+  EXPECT_TRUE(S.queryVar(T).AllocSites.empty());
+  ASSERT_GT(S.stats().StoreSize, 0u);
+  uint64_t GenBefore = S.generation();
 
   // Add "r = call helper(box)" to main.
-  ir::Program &Q = S.program();
-  ir::VarId R = Q.createLocal(Q.name("r"), Main, ir::kObjectType);
-  ir::Statement Call;
-  Call.Kind = ir::StmtKind::Call;
-  Call.Dst = R;
-  Call.Callee = Helper;
-  Call.Call = Q.createCallSite(Main, 99);
-  Call.Args.push_back(Box);
-  S.addStatement(Main, std::move(Call));
+  ir::VarId R = ir::kNone;
+  S.editProgram([&](ir::Program &Q) {
+    R = Q.createLocal(Q.name("r"), Main, ir::kObjectType);
+    ir::Statement Call;
+    Call.Kind = ir::StmtKind::Call;
+    Call.Dst = R;
+    Call.Callee = Helper;
+    Call.Call = Q.createCallSite(Main, 99);
+    Call.Args.push_back(Box);
+    Q.addStatement(Main, std::move(Call));
+    return std::vector<ir::MethodId>{};
+  });
+  CommitStats Stats = S.submitCommit().wait();
+  EXPECT_EQ(Stats.Outcome, CommitOutcome::Committed);
+  EXPECT_GT(Stats.SummariesDropped, 0u);
+  EXPECT_GT(S.generation(), GenBefore);
 
-  // The warm query must now see oa flowing through the new call; a
-  // stale summary (no boundary tuple at b) would keep it empty.
-  QueryResult RT = S.queryVar(T);
-  EXPECT_EQ(RT.Targets.size(), 1u);
-  EXPECT_TRUE(RT.contains(allocOf(S.program(), "oa")));
-  QueryResult RR = S.queryVar(R);
-  EXPECT_TRUE(RR.contains(allocOf(S.program(), "oa")));
+  // The next batch must see oa flowing through the new call; a stale
+  // summary (no boundary tuple at b) fetched from the store would keep
+  // it empty.
+  QueryOutcome RT = S.queryVar(T);
+  EXPECT_EQ(RT.AllocSites.size(), 1u);
+  EXPECT_TRUE(contains(RT, allocOf(S.program(), "oa")));
+  EXPECT_TRUE(contains(S.queryVar(R), allocOf(S.program(), "oa")));
 }
 
 /// Removing the only call is the mirror image: flows must disappear and
 /// the callee's summaries must be refreshed.
-TEST(EditSessionTest, RemovingTheOnlyCallSeversFlows) {
+TEST(IncrementalCommitTest, RemovingTheOnlyCallSeversFlows) {
   auto P = parse(kTwoMethodSource);
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::VarId T = varOf(Prog, "helper", "t");
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::VarId T = varOf(*P, "helper", "t");
 
-  EditSession S(std::move(P), AnalysisOptions());
-  EXPECT_EQ(S.queryVar(T).Targets.size(), 1u);
+  AnalysisService S(std::move(P));
+  EXPECT_EQ(S.queryVar(T).AllocSites.size(), 1u);
 
   size_t Removed = S.removeStatements(Main, [](const ir::Statement &St) {
     return St.Kind == ir::StmtKind::Call;
   });
   ASSERT_EQ(Removed, 1u);
-  EXPECT_TRUE(S.queryVar(T).Targets.empty());
+  S.submitCommit().wait();
+  EXPECT_TRUE(S.queryVar(T).AllocSites.empty());
 }
 
-TEST(EditSessionTest, CommitIsIdempotentWhenClean) {
-  auto P = parse(kTwoMethodSource);
-  EditSession S(std::move(P), AnalysisOptions());
-  CommitStats Stats = S.commit();
+TEST(IncrementalCommitTest, CommitIsIdempotentWhenClean) {
+  AnalysisService S(parse(kTwoMethodSource));
+  CommitStats Stats = S.submitCommit().wait();
+  EXPECT_EQ(Stats.Outcome, CommitOutcome::NoOp);
   EXPECT_EQ(Stats.SummariesBefore, 0u);
   EXPECT_EQ(Stats.SummariesDropped, 0u);
   EXPECT_FALSE(S.dirty());
+  EXPECT_EQ(S.generation(), 0u);
 }
 
-TEST(EditSessionTest, ValidatorStaysGreenAcrossEdits) {
+TEST(IncrementalCommitTest, ValidatorStaysGreenAcrossEdits) {
   auto P = parse(kTwoMethodSource);
   ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-  EditSession S(std::move(P), AnalysisOptions());
+  ir::VarId Other = varOf(*P, "main", "other");
+  AnalysisService S(std::move(P));
 
-  ir::Statement New;
-  New.Kind = ir::StmtKind::Null;
-  New.Dst = varOf(S.program(), "main", "other");
-  New.Alloc = S.program().createNullAlloc(Main);
-  S.addStatement(Main, std::move(New));
-  S.commit();
+  S.editProgram([&](ir::Program &Q) {
+    ir::Statement New;
+    New.Kind = ir::StmtKind::Null;
+    New.Dst = Other;
+    New.Alloc = Q.createNullAlloc(Main);
+    Q.addStatement(Main, std::move(New));
+    return std::vector<ir::MethodId>{};
+  });
+  EXPECT_EQ(S.submitCommit().wait().Outcome, CommitOutcome::Committed);
 
   EXPECT_TRUE(ir::validate(S.program()).empty());
 }
@@ -273,9 +288,10 @@ TEST(EditSessionTest, ValidatorStaysGreenAcrossEdits) {
 // Warm == cold property over generated programs
 //===----------------------------------------------------------------------===//
 
-/// Runs a random edit/query script through an EditSession and checks
+/// Runs a random edit/query script through an AnalysisService and checks
 /// every warm answer against a cold DYNSUM built from scratch on an
-/// identical program.
+/// identical program.  The service keeps the default engine setting, so
+/// its batches shard over worker threads.
 class WarmColdTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(WarmColdTest, WarmAnswersEqualColdAnswers) {
@@ -286,57 +302,60 @@ TEST_P(WarmColdTest, WarmAnswersEqualColdAnswers) {
   auto P = generateProgram(Spec, Gen);
   ASSERT_TRUE(ir::validate(*P).empty());
 
-  AnalysisOptions Opts;
-  EditSession S(std::move(P), AnalysisOptions());
+  AnalysisService S(std::move(P));
 
-  // Deterministic query set: every variable with at least one new edge
-  // plus some load destinations, strided down to keep the test fast.
+  // Deterministic query set: a stride over the local variables, kept
+  // sparse so the test stays fast.
   std::vector<ir::VarId> Queries;
   for (const ir::Variable &V : S.program().variables())
     if (!V.IsGlobal && V.Id % 97 == 0)
       Queries.push_back(V.Id);
   ASSERT_GT(Queries.size(), 4u);
 
-  // Warm the cache.
-  for (ir::VarId V : Queries)
-    S.queryVar(V);
+  // Warm the store.
+  S.queryVars(Queries);
 
   // Scripted edits: add an allocation and an assignment chain to a few
   // methods spread over the program.
-  ir::Program &Q = S.program();
-  ir::TypeId SomeClass = Q.classes().back().Id;
-  for (size_t I = 1; I < Q.methods().size(); I += 31) {
-    ir::MethodId M = Q.methods()[I].Id;
-    ir::VarId Fresh =
-        Q.createLocal(Q.name("edit" + std::to_string(I)), M, SomeClass);
-    ir::Statement New;
-    New.Kind = ir::StmtKind::Alloc;
-    New.Dst = Fresh;
-    New.Type = SomeClass;
-    New.Alloc = Q.createAllocSite(SomeClass, M, Symbol{});
-    S.addStatement(M, std::move(New));
-    if (!Q.method(M).Stmts.empty()) {
-      const ir::Statement &First = Q.method(M).Stmts.front();
-      if (First.Kind == ir::StmtKind::Alloc) {
-        ir::Statement Copy;
-        Copy.Kind = ir::StmtKind::Assign;
-        Copy.Src = Fresh;
-        Copy.Dst = First.Dst;
-        S.addStatement(M, std::move(Copy));
+  S.editProgram([](ir::Program &Q) {
+    ir::TypeId SomeClass = Q.classes().back().Id;
+    for (size_t I = 1; I < Q.methods().size(); I += 31) {
+      ir::MethodId M = Q.methods()[I].Id;
+      ir::VarId Fresh =
+          Q.createLocal(Q.name("edit" + std::to_string(I)), M, SomeClass);
+      ir::Statement New;
+      New.Kind = ir::StmtKind::Alloc;
+      New.Dst = Fresh;
+      New.Type = SomeClass;
+      New.Alloc = Q.createAllocSite(SomeClass, M, Symbol{});
+      Q.addStatement(M, std::move(New));
+      if (!Q.method(M).Stmts.empty()) {
+        const ir::Statement &First = Q.method(M).Stmts.front();
+        if (First.Kind == ir::StmtKind::Alloc) {
+          ir::Statement Copy;
+          Copy.Kind = ir::StmtKind::Assign;
+          Copy.Src = Fresh;
+          Copy.Dst = First.Dst;
+          Q.addStatement(M, std::move(Copy));
+        }
       }
     }
-  }
+    return std::vector<ir::MethodId>{};
+  });
+  ASSERT_EQ(S.submitCommit().wait().Outcome, CommitOutcome::Committed);
 
   // Cold reference: fresh PAG + fresh DYNSUM over the same program.
   pag::BuiltPAG Cold = pag::buildPAG(S.program());
-  analysis::DynSumAnalysis ColdDynSum(*Cold.Graph, Opts);
+  analysis::DynSumAnalysis ColdDynSum(*Cold.Graph, AnalysisOptions());
 
-  for (ir::VarId V : Queries) {
-    QueryResult Warm = S.queryVar(V);
-    QueryResult ColdR = ColdDynSum.query(Cold.Graph->nodeOfVar(V));
-    EXPECT_EQ(Warm.allocSites(), ColdR.allocSites())
-        << "stale summary for variable " << S.program().describeVar(V);
-    EXPECT_EQ(Warm.BudgetExceeded, ColdR.BudgetExceeded);
+  ServiceBatchResult Warm = S.queryVars(Queries);
+  ASSERT_EQ(Warm.Outcomes.size(), Queries.size());
+  for (size_t I = 0; I < Queries.size(); ++I) {
+    QueryResult ColdR = ColdDynSum.query(Cold.Graph->nodeOfVar(Queries[I]));
+    EXPECT_EQ(Warm.Outcomes[I].AllocSites, ColdR.allocSites())
+        << "stale summary for variable "
+        << S.program().describeVar(Queries[I]);
+    EXPECT_EQ(Warm.Outcomes[I].BudgetExceeded, ColdR.BudgetExceeded);
   }
 }
 

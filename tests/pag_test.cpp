@@ -228,7 +228,7 @@ TEST(GraphVizTest, EscapesQuotes) {
 }
 
 //===----------------------------------------------------------------------===//
-// Delta rebuild (the EditSession/AnalysisService substrate)
+// Delta rebuild (the substrate of AnalysisService's commit pipeline)
 //===----------------------------------------------------------------------===//
 
 TEST(RebuildTest, ForcedFullRelowerReproducesBuildExactly) {
@@ -303,6 +303,57 @@ TEST(RebuildTest, DeltaBuildSeesAppendedStatements) {
   EXPECT_EQ(G.numEdges(), EdgesBefore + 1);
   EXPECT_EQ(DS.Relowered.size(), 1u);
   EXPECT_EQ(DS.Relowered[0], Main);
+}
+
+TEST(RebuildTest, AddingAVariableKeepsNodeIdsStable) {
+  auto P = parse(R"(
+    class A {}
+    class Box { fields f }
+    method helper(b) {
+      t = b.f
+      return t
+    }
+    method main() {
+      box = new Box @obox
+      a = new A @oa
+      box.f = a
+      r = call helper(box)
+    }
+  )");
+  PAG G(*P);
+  CallGraph Calls;
+  buildPAGDelta(G, Calls);
+
+  // Record every pre-edit node id; the delta build must not move any.
+  std::vector<NodeId> VarNodes, AllocNodes;
+  for (const ir::Variable &V : P->variables())
+    VarNodes.push_back(G.nodeOfVar(V.Id));
+  for (const ir::AllocSite &A : P->allocs())
+    AllocNodes.push_back(G.nodeOfAlloc(A.Id));
+
+  // A new local + alloc: both append fresh node ids at the end.
+  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
+  ir::VarId Fresh = P->createLocal(P->name("fresh"), Main, ir::kObjectType);
+  ir::Statement New;
+  New.Kind = ir::StmtKind::Alloc;
+  New.Dst = Fresh;
+  New.Type = P->findClass(P->names().lookup("A"));
+  ir::AllocId FreshAlloc =
+      P->createAllocSite(New.Type, Main, P->name("ofresh"));
+  New.Alloc = FreshAlloc;
+  P->addStatement(Main, std::move(New));
+  pag::DeltaStats DS = buildPAGDelta(G, Calls);
+  EXPECT_EQ(DS.Relowered.size(), 1u);
+
+  for (size_t I = 0; I < VarNodes.size(); ++I)
+    EXPECT_EQ(G.nodeOfVar(ir::VarId(I)), VarNodes[I])
+        << "variable node id moved";
+  for (size_t I = 0; I < AllocNodes.size(); ++I)
+    EXPECT_EQ(G.nodeOfAlloc(ir::AllocId(I)), AllocNodes[I])
+        << "object node id moved";
+  EXPECT_GE(G.nodeOfVar(Fresh), VarNodes.size() + AllocNodes.size())
+      << "new nodes append after every existing id";
+  EXPECT_GE(G.nodeOfAlloc(FreshAlloc), VarNodes.size() + AllocNodes.size());
 }
 
 TEST(RebuildTest, FinalizeIsIdempotentAndGuardsPartialPopulate) {

@@ -3,10 +3,10 @@
 /// \file
 /// Tests of the concurrent incremental layer: SharedSummaryStore
 /// generations (stale-epoch fetches must miss, stale publishes must
-/// drop), EditSession's shared-store wiring, and the AnalysisService —
-/// including a commit-while-querying run at 4 reader threads whose
-/// every batch must match a cold serial rerun of the generation it
-/// reports.
+/// drop) and the AnalysisService — including a commit-while-querying
+/// run at 4 reader threads whose every batch must match a cold serial
+/// rerun of the generation it reports, and snapshot save/load across
+/// restarts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -207,69 +207,6 @@ TEST(SummaryStoreGenerationTest, StableIdsKeepObjectKeysAcrossVarAddition) {
   ASSERT_EQ(Out.Tuples.size(), 1u);
   EXPECT_EQ(Out.Tuples[0].Node, Obj);
   EXPECT_EQ(Out.Objects, std::vector<ir::AllocId>{3});
-}
-
-//===----------------------------------------------------------------------===//
-// EditSession <-> SharedSummaryStore wiring
-//===----------------------------------------------------------------------===//
-
-/// The boundary-flag regression, through the *store*: session A warms
-/// the shared store while helper() is uncalled; adding the first call
-/// must drop helper's store entries so a second reader never reuses the
-/// stale (boundary-tuple-free) summary.
-TEST(EditSessionStoreTest, CommitInvalidatesAttachedStore) {
-  auto P = parse(R"(
-    class A {}
-    class Box { fields f }
-    method helper(b) {
-      t = b.f
-      return t
-    }
-    method main() {
-      box = new Box @obox
-      a = new A @oa
-      box.f = a
-    }
-  )");
-  ir::Program &Prog = *P;
-  ir::MethodId Main = Prog.findFreeMethod(Prog.names().lookup("main"));
-  ir::MethodId Helper = Prog.findFreeMethod(Prog.names().lookup("helper"));
-  ir::VarId T = varOf(Prog, "helper", "t");
-  ir::VarId Box = varOf(Prog, "main", "box");
-
-  SharedSummaryStore Store;
-  incremental::EditSession S(std::move(P), AnalysisOptions());
-  S.attachStore(&Store);
-
-  // Warm both the private cache and the store while helper is uncalled.
-  EXPECT_TRUE(S.queryVar(T).Targets.empty());
-  ASSERT_GT(Store.size(), 0u);
-  uint64_t GenBefore = Store.generation();
-
-  // Add "r = call helper(box)" to main.
-  ir::Program &Q = S.program();
-  ir::VarId R = Q.createLocal(Q.name("r"), Main, ir::kObjectType);
-  ir::Statement Call;
-  Call.Kind = ir::StmtKind::Call;
-  Call.Dst = R;
-  Call.Callee = Helper;
-  Call.Call = Q.createCallSite(Main, 99);
-  Call.Args.push_back(Box);
-  S.addStatement(Main, std::move(Call));
-  CommitStats Stats = S.commit();
-  EXPECT_GT(Stats.SharedSummariesDropped, 0u);
-  EXPECT_GT(Store.generation(), GenBefore);
-
-  // The session's own warm answer must see the new flow...
-  analysis::QueryResult RT = S.queryVar(T);
-  EXPECT_EQ(RT.Targets.size(), 1u);
-  EXPECT_TRUE(RT.contains(allocOf(S.program(), "oa")));
-
-  // ...and so must a second, cold reader that trusts only the store.
-  analysis::DynSumAnalysis Reader(S.graph(), AnalysisOptions());
-  Reader.setSummaryExchange(&Store);
-  analysis::QueryResult RR = Reader.query(S.graph().nodeOfVar(T));
-  EXPECT_EQ(RR.allocSites(), RT.allocSites());
 }
 
 //===----------------------------------------------------------------------===//
@@ -607,24 +544,6 @@ TEST(EditClockTest, RemoveOnlyEditInvalidatesSummariesInService) {
   EXPECT_FALSE(S.dirty());
 }
 
-TEST(EditClockTest, RemoveOnlyEditInvalidatesSummariesInSession) {
-  auto P = parse(kTwoMethodSource);
-  ir::MethodId Main = P->findFreeMethod(P->names().lookup("main"));
-  ir::VarId T = varOf(*P, "helper", "t");
-  ir::AllocId Oa = allocOf(*P, "oa");
-
-  incremental::EditSession S(std::move(P), AnalysisOptions());
-  ASSERT_EQ(S.queryVar(T).allocSites(), std::vector<ir::AllocId>{Oa});
-
-  size_t Removed = S.removeStatements(Main, [](const ir::Statement &St) {
-    return St.Kind == ir::StmtKind::Store;
-  });
-  ASSERT_EQ(Removed, 1u);
-  EXPECT_TRUE(S.dirty()) << "remove-only edit must stamp the edit clock";
-  EXPECT_TRUE(S.queryVar(T).allocSites().empty()) // auto-commits
-      << "stale summary survived a remove-only edit";
-}
-
 TEST(AnalysisServiceTest, ConcurrentCommitsMatchSerialRerun) {
   constexpr unsigned kEdits = 5;
   constexpr unsigned kReaders = 4;
@@ -838,6 +757,27 @@ ServiceOptions snapshotLoop(const std::string &Path) {
   return SO;
 }
 
+/// The golden corpus's Figure 2 program, as text.
+std::string figure2Source() {
+  std::ifstream In(std::string(DYNSUM_TESTS_DIR) +
+                   "/golden/dsum_corpus/figure2.ir");
+  EXPECT_TRUE(In.good());
+  std::stringstream Src;
+  Src << In.rdbuf();
+  return Src.str();
+}
+
+/// Variable \p Name of Figure 2's Main.main.
+ir::VarId figure2Var(const ir::Program &P, std::string_view Name) {
+  ir::MethodId M = P.findMethod(P.findClass(P.names().lookup("Main")),
+                                P.names().lookup("main"));
+  for (const ir::Variable &V : P.variables())
+    if (V.Owner == M && V.Name == P.names().lookup(Name))
+      return V.Id;
+  ADD_FAILURE() << "no Main.main." << Name;
+  return ir::VarId(ir::kNone);
+}
+
 } // namespace
 
 /// Three starts over one snapshot with no edit.  The second start asks
@@ -883,45 +823,92 @@ TEST(AnalysisServiceTest, WarmEqualsColdAcrossThreeStarts) {
 /// only s1, and the third answers s2 from the second one's snapshot
 /// without computing a summary.
 TEST(AnalysisServiceTest, Figure2ThirdStartComputesNothing) {
-  std::ifstream In(std::string(DYNSUM_TESTS_DIR) +
-                   "/golden/dsum_corpus/figure2.ir");
-  ASSERT_TRUE(In.good());
-  std::stringstream Src;
-  Src << In.rdbuf();
-  std::string Source = Src.str();
-  auto VarOf = [](const ir::Program &P, std::string_view Name) {
-    ir::MethodId M = P.findMethod(P.findClass(P.names().lookup("Main")),
-                                  P.names().lookup("main"));
-    for (const ir::Variable &V : P.variables())
-      if (V.Owner == M && V.Name == P.names().lookup(Name))
-        return V.Id;
-    ADD_FAILURE() << "no Main.main." << Name;
-    return ir::VarId(ir::kNone);
-  };
-
+  std::string Source = figure2Source();
   std::string Path = ::testing::TempDir() + "/dynsum_figure2_starts.dsum";
   std::remove(Path.c_str());
   std::vector<ir::AllocId> S2Cold;
   {
     AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
-    S.queryVar(VarOf(S.program(), "s1"));
-    engine::QueryOutcome O = S.queryVar(VarOf(S.program(), "s2"));
+    S.queryVar(figure2Var(S.program(), "s1"));
+    engine::QueryOutcome O = S.queryVar(figure2Var(S.program(), "s2"));
     ASSERT_FALSE(O.AllocSites.empty());
     S2Cold = O.AllocSites;
   }
   {
     AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
     ASSERT_TRUE(S.stats().DiskTierAttached);
-    S.queryVar(VarOf(S.program(), "s1"));
+    S.queryVar(figure2Var(S.program(), "s1"));
   }
   {
     AnalysisService S(parse(Source.c_str()), snapshotLoop(Path));
-    ServiceBatchResult R = S.queryVars({VarOf(S.program(), "s2")});
+    ServiceBatchResult R = S.queryVars({figure2Var(S.program(), "s2")});
     EXPECT_EQ(R.Stats.SummariesComputed, 0u);
     EXPECT_GT(R.Stats.SharedHits, 0u);
     EXPECT_EQ(R.Outcomes[0].AllocSites, S2Cold);
   }
   std::remove(Path.c_str());
+}
+
+/// A load replaces the attached snapshot; it never merges.  Over Figure
+/// 2, snapshot a comes from a session that asked s1 and b from one that
+/// asked s2.  Loading a, then b, then saving c writes exactly b's
+/// records (a merge would also keep a's records that b lacks).  A
+/// refused load leaves the tier attached before it serving.
+TEST(AnalysisServiceTest, SecondLoadReplacesTheAttachedSnapshot) {
+  std::string Source = figure2Source();
+  std::string A = ::testing::TempDir() + "/dynsum_load_a.dsum";
+  std::string B = ::testing::TempDir() + "/dynsum_load_b.dsum";
+  std::string C = ::testing::TempDir() + "/dynsum_load_c.dsum";
+  std::string Other = ::testing::TempDir() + "/dynsum_load_other.dsum";
+  uint64_t RecA = 0, RecB = 0;
+  {
+    AnalysisService S(parse(Source.c_str()));
+    S.queryVar(figure2Var(S.program(), "s1"));
+    ASSERT_TRUE(S.saveSummaries(A, &RecA));
+  }
+  {
+    AnalysisService S(parse(Source.c_str()));
+    S.queryVar(figure2Var(S.program(), "s2"));
+    ASSERT_TRUE(S.saveSummaries(B, &RecB));
+  }
+  {
+    AnalysisService S(parse(kTwoMethodSource));
+    S.queryVar(varOf(S.program(), "helper", "t"));
+    ASSERT_TRUE(S.saveSummaries(Other));
+  }
+  ASSERT_GT(RecA, 0u);
+  ASSERT_GT(RecB, 0u);
+
+  {
+    AnalysisService S(parse(Source.c_str()));
+    ASSERT_TRUE(S.loadSummaries(A));
+    uint64_t Attached = 0;
+    ASSERT_TRUE(S.loadSummaries(B, &Attached));
+    EXPECT_EQ(Attached, RecB);
+    uint64_t RecC = 0;
+    ASSERT_TRUE(S.saveSummaries(C, &RecC));
+    EXPECT_EQ(RecC, RecB) << "the second load must replace the first";
+    // b alone answers s2 and misses what only a held for s1.
+    ServiceBatchResult S2 = S.queryVars({figure2Var(S.program(), "s2")});
+    EXPECT_EQ(S2.Stats.SummariesComputed, 0u);
+    ServiceBatchResult S1 = S.queryVars({figure2Var(S.program(), "s1")});
+    EXPECT_GT(S1.Stats.SummariesComputed, 0u);
+  }
+  {
+    AnalysisService S(parse(Source.c_str()));
+    ASSERT_TRUE(S.loadSummaries(A));
+    uint64_t Refused = 7;
+    EXPECT_FALSE(S.loadSummaries(Other, &Refused))
+        << "a snapshot of another program must be refused";
+    EXPECT_EQ(Refused, 0u);
+    EXPECT_TRUE(S.stats().DiskTierAttached);
+    ServiceBatchResult R = S.queryVars({figure2Var(S.program(), "s1")});
+    EXPECT_EQ(R.Stats.SummariesComputed, 0u)
+        << "the tier attached before the refused load keeps serving";
+    EXPECT_GT(S.stats().Store.DiskHits, 0u);
+  }
+  for (const std::string &Path : {A, B, C, Other})
+    std::remove(Path.c_str());
 }
 
 /// Three starts with an edit committed in the second: its snapshot is
