@@ -36,6 +36,33 @@ uint64_t dynsum::analysis::packSummaryKey(NodeId Node, StackId Fields,
          uint64_t(S == RsmState::S2);
 }
 
+const PptaSummary *SummaryCache::insert(uint64_t Key, PptaSummary &&S) {
+  assert(Key != kEmptyKey && !find(Key) && "summary stored twice");
+  if ((NumEntries + 1) * 2 > Slots.size()) {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? kMinSlots : Old.size() * 2, Slot());
+    NumEntries = 0;
+    for (const Slot &O : Old)
+      if (O.Key != kEmptyKey)
+        place(O);
+  }
+  PptaSummary *Dst;
+  if (!Free.empty()) {
+    Dst = Free.back();
+    Free.pop_back();
+  } else {
+    if (BlockUsed == BlockSize) {
+      BlockSize = std::min(BlockSize ? BlockSize * 2 : kFirstBlock, kMaxBlock);
+      Blocks.emplace_back(new PptaSummary[BlockSize]);
+      BlockUsed = 0;
+    }
+    Dst = &Blocks.back()[BlockUsed++];
+  }
+  *Dst = std::move(S);
+  place(Slot{Key, Dst});
+  return Dst;
+}
+
 //===----------------------------------------------------------------------===//
 // Algorithm 3: DSPOINTSTO
 //===----------------------------------------------------------------------===//
@@ -252,12 +279,10 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
   // Section 4.3: skip the PPTA when u has no local edges — the node
   // itself is the only boundary state.
   if (!Graph.node(U).HasLocalEdge) {
-    auto It = TrivialSummaries.find(Key);
-    if (It != TrivialSummaries.end())
-      return &It->second;
-    PptaSummary Trivial;
-    Trivial.Tuples.push_back(PptaTuple{U, F, S});
-    return &TrivialSummaries.emplace(Key, std::move(Trivial)).first->second;
+    Scratch.Objects.clear();
+    Scratch.Tuples.clear();
+    Scratch.Tuples.push_back(PptaTuple{U, F, S});
+    return &Scratch;
   }
 
   // Spelled-out field stack for the exchange round trip, built into
@@ -266,11 +291,10 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
   // must stay allocation-free for disk-tier serving to undercut
   // recomputation.
   if (Opts.EnableCache) {
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
+    if (const PptaSummary *Hit = Cache.find(Key)) {
       UsedCache = true;
       ++CacheHits;
-      return &It->second;
+      return Hit;
     }
     // Local miss: another instance on the same PAG may have published
     // this summary already (summaries are context-free, hence shareable).
@@ -279,9 +303,7 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
       if (Exchange->fetch(U, FetchFields, S, FetchScratch)) {
         UsedCache = true;
         ++SharedHits;
-        return &Cache
-                    .emplace(Key, internSummary(FetchScratch, F, FetchFields))
-                    .first->second;
+        return Cache.insert(Key, internSummary(FetchScratch, F, FetchFields));
       }
     }
   }
@@ -310,13 +332,12 @@ const PptaSummary *DynSumAnalysis::getSummary(NodeId U, StackId F,
     Exchange->publish(U, FetchFields, S, exportSummary(Fresh));
   }
   if (!Opts.EnableCache) {
-    // Uncached mode (ablation): stash in the trivial map keyed the same
-    // way so the pointer stays valid for this query.
-    return &TrivialSummaries
-                .insert_or_assign(Key, std::move(Fresh))
-                .first->second;
+    // Uncached mode (ablation): the summary lives until the next
+    // getSummary call, which is as long as the worklist reads it.
+    Scratch = std::move(Fresh);
+    return &Scratch;
   }
-  return &Cache.emplace(Key, std::move(Fresh)).first->second;
+  return Cache.insert(Key, std::move(Fresh));
 }
 
 QueryResult DynSumAnalysis::query(NodeId V,
@@ -375,20 +396,32 @@ QueryResult DynSumAnalysis::query(NodeId V,
           Propagate(E.Src, T.Fields, RsmState::S1,
                     E.ContextFree ? It.Ctx : Contexts.push(It.Ctx, E.Aux));
         }
-        for (EdgeId EId : Graph.inEdgesOfKind(T.Node, EdgeKind::Entry)) {
-          // Lines 16-18: backwards to the caller pops on match or
-          // from the unbalanced empty stack.
-          const Edge &E = Graph.edge(EId);
-          if (E.ContextFree) {
+        // Lines 16-18: backwards to the caller pops on match or from
+        // the unbalanced empty stack.  Under a non-empty context only
+        // the edges at the top site can pop, so they are looked up, not
+        // scanned for: same edges, same order, same budget charge.
+        if (!It.Ctx.isEmpty() && !Graph.node(T.Node).ContextFreeEntryIn) {
+          StackId Caller = Contexts.pop(It.Ctx);
+          for (EdgeId EId : Graph.callEdgesAtSite(
+                   T.Node, EdgeKind::Entry, Contexts.peek(It.Ctx)))
             if (B.consume())
-              Propagate(E.Src, T.Fields, RsmState::S1, It.Ctx);
-          } else if (It.Ctx.isEmpty()) {
-            if (B.consume())
-              Propagate(E.Src, T.Fields, RsmState::S1, StackPool::empty());
-          } else if (Contexts.peek(It.Ctx) == E.Aux) {
-            if (B.consume())
-              Propagate(E.Src, T.Fields, RsmState::S1,
-                        Contexts.pop(It.Ctx));
+              Propagate(Graph.edge(EId).Src, T.Fields, RsmState::S1,
+                        Caller);
+        } else {
+          for (EdgeId EId : Graph.inEdgesOfKind(T.Node, EdgeKind::Entry)) {
+            const Edge &E = Graph.edge(EId);
+            if (E.ContextFree) {
+              if (B.consume())
+                Propagate(E.Src, T.Fields, RsmState::S1, It.Ctx);
+            } else if (It.Ctx.isEmpty()) {
+              if (B.consume())
+                Propagate(E.Src, T.Fields, RsmState::S1,
+                          StackPool::empty());
+            } else if (Contexts.peek(It.Ctx) == E.Aux) {
+              if (B.consume())
+                Propagate(E.Src, T.Fields, RsmState::S1,
+                          Contexts.pop(It.Ctx));
+            }
           }
         }
         for (EdgeId EId :
@@ -399,19 +432,30 @@ QueryResult DynSumAnalysis::query(NodeId V,
                       StackPool::empty());
         }
       } else {
-        for (EdgeId EId : Graph.outEdgesOfKind(T.Node, EdgeKind::Exit)) {
-          // Lines 22-24: forwards to the caller pops on match.
-          const Edge &E = Graph.edge(EId);
-          if (E.ContextFree) {
+        // Lines 22-24: forwards to the caller pops on match, by the
+        // same lookup-or-scan rule as lines 16-18.
+        if (!It.Ctx.isEmpty() && !Graph.node(T.Node).ContextFreeExitOut) {
+          StackId Caller = Contexts.pop(It.Ctx);
+          for (EdgeId EId : Graph.callEdgesAtSite(
+                   T.Node, EdgeKind::Exit, Contexts.peek(It.Ctx)))
             if (B.consume())
-              Propagate(E.Dst, T.Fields, RsmState::S2, It.Ctx);
-          } else if (It.Ctx.isEmpty()) {
-            if (B.consume())
-              Propagate(E.Dst, T.Fields, RsmState::S2, StackPool::empty());
-          } else if (Contexts.peek(It.Ctx) == E.Aux) {
-            if (B.consume())
-              Propagate(E.Dst, T.Fields, RsmState::S2,
-                        Contexts.pop(It.Ctx));
+              Propagate(Graph.edge(EId).Dst, T.Fields, RsmState::S2,
+                        Caller);
+        } else {
+          for (EdgeId EId : Graph.outEdgesOfKind(T.Node, EdgeKind::Exit)) {
+            const Edge &E = Graph.edge(EId);
+            if (E.ContextFree) {
+              if (B.consume())
+                Propagate(E.Dst, T.Fields, RsmState::S2, It.Ctx);
+            } else if (It.Ctx.isEmpty()) {
+              if (B.consume())
+                Propagate(E.Dst, T.Fields, RsmState::S2,
+                          StackPool::empty());
+            } else if (Contexts.peek(It.Ctx) == E.Aux) {
+              if (B.consume())
+                Propagate(E.Dst, T.Fields, RsmState::S2,
+                          Contexts.pop(It.Ctx));
+            }
           }
         }
         for (EdgeId EId : Graph.outEdgesOfKind(T.Node, EdgeKind::Entry)) {
@@ -440,33 +484,19 @@ QueryResult DynSumAnalysis::query(NodeId V,
   Result.Status = B.status();
   Result.Steps = B.used();
   Result.canonicalize();
-  TrivialSummaries.clear(); // uncached-mode stash is per-query only
   return Result;
 }
 
 size_t DynSumAnalysis::cacheNodeStateCount() const {
-  std::unordered_set<uint64_t> NodeStates;
-  for (const auto &[Key, Summary] : Cache) {
-    (void)Summary;
-    // Strip the field-stack bits (33..63), keep node and state.
-    NodeStates.insert(Key & 0x1ffffffffull);
-  }
+  // Strip the field-stack bits (33..63), keep node and state.
+  FlatU64Set NodeStates;
+  Cache.forEachKey(
+      [&](uint64_t Key) { NodeStates.insert(Key & 0x1ffffffffull); });
   return NodeStates.size();
 }
 
 void DynSumAnalysis::invalidateMethod(ir::MethodId M) {
-  for (auto It = Cache.begin(); It != Cache.end();) {
-    NodeId N = NodeId((It->first >> 1) & 0xffffffffu);
-    if (Graph.node(N).Method == M)
-      It = Cache.erase(It);
-    else
-      ++It;
-  }
-  for (auto It = TrivialSummaries.begin(); It != TrivialSummaries.end();) {
-    NodeId N = NodeId((It->first >> 1) & 0xffffffffu);
-    if (Graph.node(N).Method == M)
-      It = TrivialSummaries.erase(It);
-    else
-      ++It;
-  }
+  Cache.eraseIf([&](uint64_t Key) {
+    return Graph.node(NodeId((Key >> 1) & 0xffffffffu)).Method == M;
+  });
 }

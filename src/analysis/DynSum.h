@@ -23,8 +23,7 @@
 #include "support/InternedStack.h"
 #include "support/SmallVector.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 #include <vector>
 
 namespace dynsum {
@@ -66,6 +65,92 @@ struct PptaSummary {
 /// Packs a summary key into 64 bits: bit 0 = state, bits 1..32 = node,
 /// bits 33..63 = field-stack id (field stacks stay well below 2^31).
 uint64_t packSummaryKey(pag::NodeId Node, StackId Fields, RsmState S);
+
+/// DYNSUM's per-instance summary cache: an open-addressing table
+/// (linear probing, power-of-two capacity, at most half full) from
+/// packed summary keys to summaries held in doubling blocks that never
+/// move.  Growing the table rehashes 16-byte slots, not summaries, and
+/// a summary stays where it is until erased.  The table starts empty
+/// and small: a service batch builds a fresh instance per shard.
+class SummaryCache {
+public:
+  /// The summary stored under \p Key, or null.
+  const PptaSummary *find(uint64_t Key) const {
+    if (Slots.empty())
+      return nullptr;
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = size_t(hashMix(Key)) & Mask;; I = (I + 1) & Mask) {
+      if (Slots[I].Key == Key)
+        return Slots[I].Summary;
+      if (Slots[I].Key == kEmptyKey)
+        return nullptr;
+    }
+  }
+
+  /// Stores \p S under \p Key, which must not be present yet.
+  const PptaSummary *insert(uint64_t Key, PptaSummary &&S);
+
+  size_t size() const { return NumEntries; }
+
+  /// Drops every summary and releases the storage.
+  void clear() { *this = SummaryCache(); }
+
+  /// Drops the summaries whose key satisfies \p Drop; their storage is
+  /// reused by later inserts.
+  template <typename Fn> void eraseIf(Fn &&Drop) {
+    std::vector<Slot> Kept;
+    for (Slot &S : Slots) {
+      if (S.Key == kEmptyKey)
+        continue;
+      if (Drop(S.Key)) {
+        *S.Summary = PptaSummary();
+        Free.push_back(S.Summary);
+      } else {
+        Kept.push_back(S);
+      }
+    }
+    std::fill(Slots.begin(), Slots.end(), Slot());
+    NumEntries = 0;
+    for (const Slot &S : Kept)
+      place(S);
+  }
+
+  /// Calls \p F(key) for every stored summary, in unspecified order.
+  template <typename Fn> void forEachKey(Fn &&F) const {
+    for (const Slot &S : Slots)
+      if (S.Key != kEmptyKey)
+        F(S.Key);
+  }
+
+private:
+  /// No summary key has all 32 node bits set (that node id is kNone).
+  static constexpr uint64_t kEmptyKey = ~uint64_t(0);
+  static constexpr size_t kMinSlots = 16;
+  static constexpr size_t kFirstBlock = 16, kMaxBlock = 4096;
+
+  struct Slot {
+    uint64_t Key = kEmptyKey;
+    PptaSummary *Summary = nullptr;
+  };
+
+  /// Puts \p S in its probe sequence's first empty slot.
+  void place(const Slot &S) {
+    size_t Mask = Slots.size() - 1;
+    size_t I = size_t(hashMix(S.Key)) & Mask;
+    while (Slots[I].Key != kEmptyKey)
+      I = (I + 1) & Mask;
+    Slots[I] = S;
+    ++NumEntries;
+  }
+
+  std::vector<Slot> Slots;
+  size_t NumEntries = 0;
+  /// Blocks double from kFirstBlock up to kMaxBlock summaries; the last
+  /// one is filled up to BlockUsed.  Free lists summaries erased since.
+  std::vector<std::unique_ptr<PptaSummary[]>> Blocks;
+  size_t BlockUsed = 0, BlockSize = 0;
+  std::vector<PptaSummary *> Free;
+};
 
 /// A PptaSummary in pool-independent form.  StackIds only mean
 /// something inside the owning instance's StackPool, so tuple field
@@ -271,7 +356,7 @@ private:
   StackPool Contexts;
   PptaEngine Engine;
   SummaryExchange *Exchange = nullptr;
-  std::unordered_map<uint64_t, PptaSummary> Cache;
+  SummaryCache Cache;
   uint64_t CacheHits = 0, SharedHits = 0, SummariesComputed = 0;
   /// Per-query scratch, reused across queries so the steady-state query
   /// path does not allocate: the vector-backed worklist stack, the
@@ -286,9 +371,12 @@ private:
   /// lets disk-tier serving undercut recomputation.
   std::vector<uint32_t> FetchFields;
   PortableSummary FetchScratch;
-  /// Summaries for boundary nodes without local edges (the Section 4.3
-  /// shortcut) materialized once; not counted as real summaries.
-  std::unordered_map<uint64_t, PptaSummary> TrivialSummaries;
+  /// getSummary's answer when it does not come from the cache: the
+  /// one-tuple summary of a node without local edges (the Section 4.3
+  /// shortcut, not counted as a real summary), or in uncached mode the
+  /// summary just computed.  The worklist reads a summary only until it
+  /// asks for the next, so one per-instance slot suffices.
+  PptaSummary Scratch;
 };
 
 } // namespace analysis

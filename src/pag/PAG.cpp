@@ -15,6 +15,9 @@
 /// (dead edge slots + relocation holes) above half the live size
 /// triggers a compacting full pack.
 ///
+/// Both paths also write the call-site views of the Entry in-buckets and
+/// Exit out-buckets, from the buckets they have just packed.
+///
 /// All persistent storage is copy-on-write chunked (see PAG.h): serial
 /// mutation goes through the CoW accessors, and each parallel write
 /// phase is preceded by a serial pass that uniquifies its destination
@@ -34,6 +37,11 @@
 
 using namespace dynsum;
 using namespace dynsum::pag;
+
+/// The call kind whose bucket a direction's call-site view re-sorts.
+static EdgeKind siteViewKind(bool In) {
+  return In ? EdgeKind::Entry : EdgeKind::Exit;
+}
 
 const char *dynsum::pag::edgeKindName(EdgeKind K) {
   switch (K) {
@@ -224,11 +232,49 @@ void PAG::packDirection(bool In) {
     Flat.rawAt(Cursor[size_t(In ? E.Dst : E.Src) * kNumEdgeKinds +
                       unsigned(E.Kind)]++) = Id;
   }
+
+  FlatTable &Site = In ? InSiteFlat : OutSiteFlat;
+  OffsetTable &SiteOff = In ? InSiteOff : OutSiteOff;
+  unsigned CK = unsigned(siteViewKind(In));
+  Site.reset();
+  SiteOff.assign(Nodes.size(), 0);
+  std::vector<uint64_t> Keys;
+  for (size_t N = 0; N < Nodes.size(); ++N) {
+    uint32_t Calls = Count[N * kNumEdgeKinds + CK];
+    if (Calls == 0)
+      continue;
+    uint32_t Begin = uint32_t(Site.placeRegion(Calls));
+    SiteOff.rawAt(N) = Begin;
+    sortBySite(Flat.addr(Off[N * kOffsetStride + CK]), Calls,
+               Site.regionPtr(Begin), Keys);
+  }
+}
+
+void PAG::sortBySite(const EdgeId *Bucket, size_t Count, EdgeId *View,
+                     std::vector<uint64_t> &Keys) const {
+  // Lowering visits callers in method order, and call-site ids follow
+  // it, so most buckets are in site order already.
+  size_t Sorted = 1;
+  while (Sorted < Count &&
+         Edges[Bucket[Sorted - 1]].Aux <= Edges[Bucket[Sorted]].Aux)
+    ++Sorted;
+  if (Sorted >= Count) {
+    std::copy(Bucket, Bucket + Count, View);
+    return;
+  }
+  Keys.resize(Count);
+  for (size_t I = 0; I < Count; ++I)
+    Keys[I] = (uint64_t(Edges[Bucket[I]].Aux) << 32) | I;
+  std::sort(Keys.begin(), Keys.end());
+  for (size_t I = 0; I < Count; ++I)
+    View[I] = Bucket[uint32_t(Keys[I])];
 }
 
 void PAG::ensureOffsetCoverage() {
   InOff.resize(Nodes.size() * kOffsetStride, 0);
   OutOff.resize(Nodes.size() * kOffsetStride, 0);
+  InSiteOff.resize(Nodes.size(), 0);
+  OutSiteOff.resize(Nodes.size(), 0);
   FieldStoreOff.resize(Prog.fields().size() * 2, 0);
   FieldLoadOff.resize(Prog.fields().size() * 2, 0);
 }
@@ -237,7 +283,7 @@ void PAG::finalize() {
   assert(OpenSegment == ir::kNone &&
          "finalize with an open segment (partial populate)");
   if (Finalized && PendingDead.empty() && PendingNew.empty() &&
-      FreeSlots.empty() && FlatHoles + FieldHoles == 0) {
+      FreeSlots.empty() && csrHoleSlots() == 0) {
     // Idempotent: nothing changed since the last pack and the arrays
     // are already dense; at most extend coverage over freshly added
     // (still edgeless) nodes.  With dead slots or relocation holes
@@ -288,6 +334,7 @@ void PAG::finalize() {
   for (size_t N = 0; N < Nodes.size(); ++N) {
     Node &Nd = Nodes.mutableAt(N);
     Nd.HasLocalEdge = Nd.HasGlobalIn = Nd.HasGlobalOut = false;
+    Nd.ContextFreeEntryIn = Nd.ContextFreeExitOut = false;
   }
   for (EdgeId Id = 0; Id < Edges.size(); ++Id) {
     const Edge E = Edges[Id]; // by value: mutableAt may move chunks
@@ -298,9 +345,13 @@ void PAG::finalize() {
       Nodes.mutableAt(E.Dst).HasGlobalIn = true;
       Nodes.mutableAt(E.Src).HasGlobalOut = true;
     }
+    if (E.ContextFree && E.Kind == EdgeKind::Entry)
+      Nodes.mutableAt(E.Dst).ContextFreeEntryIn = true;
+    if (E.ContextFree && E.Kind == EdgeKind::Exit)
+      Nodes.mutableAt(E.Src).ContextFreeExitOut = true;
   }
 
-  FlatHoles = FieldHoles = 0;
+  FlatHoles = FieldHoles = SiteHoles = 0;
   PendingDead.clear();
   PendingDeadMeta.clear();
   PendingNew.clear();
@@ -314,6 +365,7 @@ void PAG::finalize() {
 void PAG::rederiveFlags(NodeId N) {
   Node &Nd = Nodes.rawAt(N);
   Nd.HasLocalEdge = Nd.HasGlobalIn = Nd.HasGlobalOut = false;
+  Nd.ContextFreeEntryIn = Nd.ContextFreeExitOut = false;
   for (EdgeId E : inEdges(N)) {
     if (isLocalEdgeKind(Edges[E].Kind))
       Nd.HasLocalEdge = true;
@@ -326,6 +378,10 @@ void PAG::rederiveFlags(NodeId N) {
     else
       Nd.HasGlobalOut = true;
   }
+  for (EdgeId E : inEdgesOfKind(N, EdgeKind::Entry))
+    Nd.ContextFreeEntryIn |= Edges[E].ContextFree;
+  for (EdgeId E : outEdgesOfKind(N, EdgeKind::Exit))
+    Nd.ContextFreeExitOut |= Edges[E].ContextFree;
 }
 
 namespace {
@@ -390,14 +446,20 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
   //   scatter  (parallel)  workers copy their regions into their now
   //                        disjoint, exclusively owned destination
   //                        ranges and write the offset entries raw.
+  //
+  // The call-site view rides along: the place pass sizes it from the
+  // old and new call bucket, the scatter sorts the new bucket into it.
   size_t NumAffected = AffectedNodes.size();
   std::vector<std::vector<EdgeId>> Regions(NumAffected);
   std::vector<uint32_t> Bounds(NumAffected * kOffsetStride);
-  std::vector<uint32_t> Begins(NumAffected);
+  std::vector<uint32_t> Begins(NumAffected), SiteBegins(NumAffected);
 
   auto RebuildDirection = [&](bool In) {
     FlatTable &Flat = In ? InFlat : OutFlat;
     OffsetTable &Off = In ? InOff : OutOff;
+    FlatTable &Site = In ? InSiteFlat : OutSiteFlat;
+    OffsetTable &SiteOff = In ? InSiteOff : OutSiteOff;
+    unsigned CK = unsigned(siteViewKind(In));
     const BucketAdds &Adds = In ? InAdds : OutAdds;
 
     parallelChunks(NumAffected, Exec,
@@ -440,22 +502,41 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
         Begins[I] = uint32_t(Flat.placeRegion(Regions[I].size()));
         FlatHoles += OldSize;
       }
+      size_t OldCalls = Off[Base + CK + 1] - Off[Base + CK];
+      size_t NewCalls = Bounds[I * kOffsetStride + CK + 1] -
+                        Bounds[I * kOffsetStride + CK];
+      if (NewCalls <= OldCalls) {
+        SiteBegins[I] = SiteOff[AffectedNodes[I]];
+        SiteHoles += OldCalls - NewCalls;
+        if (NewCalls != 0)
+          Site.ensureUniqueRegion(SiteBegins[I]);
+      } else {
+        SiteBegins[I] = uint32_t(Site.placeRegion(NewCalls));
+        SiteHoles += OldCalls;
+      }
       // A node's eight offsets share a chunk (stride divides the chunk
       // size); uniquify it here so the scatter may write raw.
       Off.ensureWritable(Base);
+      SiteOff.ensureWritable(AffectedNodes[I]);
     }
 
     parallelChunks(NumAffected, Exec,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
+                     std::vector<uint64_t> Keys;
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
-                       size_t Base =
-                           size_t(AffectedNodes[I]) * kOffsetStride;
+                       NodeId N = AffectedNodes[I];
+                       size_t Base = size_t(N) * kOffsetStride;
+                       const uint32_t *B = &Bounds[I * kOffsetStride];
                        if (!Regions[I].empty())
                          std::copy(Regions[I].begin(), Regions[I].end(),
                                    Flat.regionPtr(Begins[I]));
                        for (unsigned K = 0; K < kOffsetStride; ++K)
-                         Off.rawAt(Base + K) =
-                             Begins[I] + Bounds[I * kOffsetStride + K];
+                         Off.rawAt(Base + K) = Begins[I] + B[K];
+                       if (B[CK + 1] != B[CK])
+                         sortBySite(Regions[I].data() + B[CK],
+                                    B[CK + 1] - B[CK],
+                                    Site.regionPtr(SiteBegins[I]), Keys);
+                       SiteOff.rawAt(N) = SiteBegins[I];
                      }
                    });
   };
@@ -585,7 +666,7 @@ void PAG::finalizeDelta(const support::ExecContext &Exec) {
   // arrays cache-dense.  (Chunk-alignment padding is excluded: a full
   // pack would re-pad, so counting it could trigger compaction every
   // round without reducing it.)
-  size_t Slack = deadEdgeSlots() + FlatHoles + FieldHoles;
+  size_t Slack = deadEdgeSlots() + csrHoleSlots();
   if (Slack > NumAliveEdges / 2 + 1024) {
     finalize();
     LastRepackCompacted = true;
@@ -655,6 +736,34 @@ EdgeSpan PAG::loadsOfField(ir::FieldId F) const {
   return spanOf(FieldLoadFlat, FieldLoadOff, F * 2, F * 2 + 1);
 }
 
+EdgeSpan PAG::callEdgesBySite(NodeId N, EdgeKind K) const {
+  assert((K == EdgeKind::Entry || K == EdgeKind::Exit) &&
+         "call-site views cover Entry in-buckets and Exit out-buckets");
+  bool In = K == EdgeKind::Entry;
+  size_t Base = size_t(N) * kOffsetStride + unsigned(K);
+  const OffsetTable &Off = In ? InOff : OutOff;
+  uint32_t Count = Off[Base + 1] - Off[Base];
+  if (Count == 0)
+    return EdgeSpan();
+  const EdgeId *P = In ? InSiteFlat.addr(InSiteOff[N])
+                       : OutSiteFlat.addr(OutSiteOff[N]);
+  return EdgeSpan(P, P + Count);
+}
+
+EdgeSpan PAG::callEdgesAtSite(NodeId N, EdgeKind K,
+                              ir::CallSiteId Site) const {
+  EdgeSpan View = callEdgesBySite(N, K);
+  const EdgeId *Lo = std::lower_bound(
+      View.begin(), View.end(), Site,
+      [this](EdgeId E, ir::CallSiteId S) { return Edges[E].Aux < S; });
+  // A call site feeds a formal (or a receiver) through one edge, so
+  // the run is short: walk it rather than search again.
+  const EdgeId *Hi = Lo;
+  while (Hi != View.end() && Edges[*Hi].Aux == Site)
+    ++Hi;
+  return EdgeSpan(Lo, Hi);
+}
+
 ir::AllocId PAG::allocOf(NodeId N) const {
   assert(isObject(N) && "allocOf on a variable node");
   return Nodes[N].IrId;
@@ -703,6 +812,10 @@ PAGMemoryStats PAG::memoryStats() const {
   C += FieldLoadFlat.memory();
   C += FieldStoreOff.memory();
   C += FieldLoadOff.memory();
+  C += InSiteFlat.memory();
+  C += OutSiteFlat.memory();
+  C += InSiteOff.memory();
+  C += OutSiteOff.memory();
   C += VarToNode.memory();
   C += AllocToNode.memory();
   C += BuiltBodyFp.memory();

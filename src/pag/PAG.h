@@ -46,6 +46,13 @@
 /// The whole-node views (inEdges/outEdges) remain as spans over the
 /// same arrays for callers that still want every kind.
 ///
+/// Call-site views: each node's Entry in-bucket and Exit out-bucket is
+/// also stored re-sorted by (call site, position in the bucket), on the
+/// same chunked region scheme, so Algorithm 4 finds the edges that pop
+/// a context's top site by binary search (callEdgesAtSite) instead of
+/// scanning every caller.  The buckets themselves keep their order: the
+/// empty-context rule still pushes every caller in bucket order.
+///
 /// Generation storage: every persistent member lives on copy-on-write
 /// chunk tables (support/ChunkedStorage.h).  Copying a PAG copies the
 /// tables — O(#chunks) refcount bumps, no element copies — and the copy
@@ -155,6 +162,11 @@ private:
 
 struct Node {
   NodeKind Kind = NodeKind::Local;
+  /// True when the node's Entry in-bucket / Exit out-bucket holds a
+  /// ContextFree edge: Algorithm 4 then scans the bucket instead of
+  /// looking up the context's top site.  Derived like the flags below.
+  bool ContextFreeEntryIn = false;
+  bool ContextFreeExitOut = false;
   /// ir::AllocId for objects, ir::VarId for variables.
   uint32_t IrId = ir::kNone;
   /// Owning method; kNone for globals and the null object.
@@ -306,6 +318,15 @@ public:
     return spanOf(OutFlat, OutOff, Base, Base + 1);
   }
 
+  /// The call-site view of \p N's Entry in-bucket (\p K = Entry) or Exit
+  /// out-bucket (\p K = Exit): the bucket's edge ids sorted by (call
+  /// site, position in the bucket).
+  EdgeSpan callEdgesBySite(NodeId N, EdgeKind K) const;
+
+  /// The edges of that bucket at call site \p Site, in bucket order:
+  /// O(log fan-in) over the call-site view.
+  EdgeSpan callEdgesAtSite(NodeId N, EdgeKind K, ir::CallSiteId Site) const;
+
   /// All store edges labelled with \p F (REFINEPTS match-edge lookup).
   EdgeSpan storesOfField(ir::FieldId F) const;
 
@@ -373,7 +394,7 @@ public:
   /// padding in the flat arrays is NOT slack (a compaction would
   /// re-pad), so it never triggers one.
   size_t deadEdgeSlots() const { return Edges.size() - NumAliveEdges; }
-  size_t csrHoleSlots() const { return FlatHoles + FieldHoles; }
+  size_t csrHoleSlots() const { return FlatHoles + FieldHoles + SiteHoles; }
   bool lastRepackCompacted() const { return LastRepackCompacted; }
 
   /// The (sorted, deduped) nodes whose CSR regions — and therefore
@@ -423,11 +444,19 @@ private:
   /// Renumbers edge slots densely, dropping dead ones (stable order).
   void compactEdgeSlots();
 
-  /// Full counting-sort pack of one direction's CSR.
+  /// Full counting-sort pack of one direction's CSR, call-site view
+  /// included.
   void packDirection(bool In);
 
-  /// Rewrites the CSR regions of \p AffectedNodes (sorted, unique) in
-  /// both directions, appending grown regions at the array tails.
+  /// Writes the \p Count edge ids at \p Bucket to \p View in (call
+  /// site, position in the bucket) order.  \p Keys is caller-owned
+  /// scratch, so packing allocates nothing per node.
+  void sortBySite(const EdgeId *Bucket, size_t Count, EdgeId *View,
+                  std::vector<uint64_t> &Keys) const;
+
+  /// Rewrites the CSR regions and call-site views of \p AffectedNodes
+  /// (sorted, unique) in both directions, appending grown regions at
+  /// the array tails.
   /// \p Freed marks the slots freed this round (shared with
   /// repackFields so the O(slots) bitmap is built once per repack).
   /// Workers repack disjoint node ranges; see finalizeDelta(Exec).
@@ -474,6 +503,15 @@ private:
   OffsetTable InOff, OutOff;
   /// Elements of InFlat/OutFlat occupied by relocation holes.
   size_t FlatHoles = 0;
+
+  /// Call-site views: node N's Entry in-bucket re-sorted by (call site,
+  /// position) sits at InSiteFlat[InSiteOff[N]], its Exit out-bucket's
+  /// at OutSiteFlat[OutSiteOff[N]].  A view is as long as its bucket,
+  /// so one begin offset per node suffices; regions relocate like the
+  /// buckets' and never straddle a chunk.
+  FlatTable InSiteFlat, OutSiteFlat;
+  OffsetTable InSiteOff, OutSiteOff;
+  size_t SiteHoles = 0;
 
   /// Field-indexed CSR over store/load edges: per-field [begin, end)
   /// pairs (2 entries per field), same relocation scheme.

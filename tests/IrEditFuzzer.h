@@ -10,7 +10,8 @@
 /// validator-clean; the checkers assert that an incrementally evolved
 /// PAG is isomorphic to a cold scratch build — node flags per IR
 /// entity, live edge multiset under canonical node naming, and the CSR
-/// structural invariants that must hold through holes and slot reuse.
+/// structural invariants (call-site views included) that must hold
+/// through holes and slot reuse.
 ///
 /// Used by tests/delta_build_test.cpp (serial delta vs scratch) and
 /// tests/parallel_commit_test.cpp (sharded delta + async service
@@ -226,6 +227,48 @@ inline std::vector<EdgeKey> liveEdgeKeys(const pag::PAG &G) {
   return Keys;
 }
 
+/// Each node's call-site views hold exactly its Entry in-bucket and Exit
+/// out-bucket, in (call site, position in the bucket) order; each
+/// per-site lookup returns that site's run in bucket order; and the
+/// ContextFree flags match the buckets.
+inline void checkCallSiteViews(const pag::PAG &G) {
+  for (pag::NodeId N = 0; N < G.numNodes(); ++N) {
+    for (bool In : {true, false}) {
+      pag::EdgeKind K = In ? pag::EdgeKind::Entry : pag::EdgeKind::Exit;
+      pag::EdgeSpan Bucket =
+          In ? G.inEdgesOfKind(N, K) : G.outEdgesOfKind(N, K);
+      std::vector<std::pair<uint32_t, size_t>> Order; // (site, position)
+      bool ContextFree = false;
+      for (size_t I = 0; I < Bucket.size(); ++I) {
+        Order.emplace_back(G.edge(Bucket[I]).Aux, I);
+        ContextFree |= G.edge(Bucket[I]).ContextFree;
+      }
+      std::sort(Order.begin(), Order.end());
+
+      pag::EdgeSpan View = G.callEdgesBySite(N, K);
+      ASSERT_EQ(View.size(), Bucket.size()) << "node " << N;
+      for (size_t I = 0; I < View.size(); ++I)
+        ASSERT_EQ(View[I], Bucket[Order[I].second])
+            << "node " << N << ", view slot " << I;
+      for (size_t I = 0; I < Order.size();) {
+        size_t End = I;
+        while (End < Order.size() && Order[End].first == Order[I].first)
+          ++End;
+        pag::EdgeSpan At = G.callEdgesAtSite(N, K, Order[I].first);
+        ASSERT_EQ(At.size(), End - I) << "node " << N;
+        for (size_t X = 0; X < At.size(); ++X)
+          ASSERT_EQ(At[X], Bucket[Order[I + X].second]) << "node " << N;
+        I = End;
+      }
+      EXPECT_TRUE(G.callEdgesAtSite(N, K, ir::kNone).empty());
+      EXPECT_EQ(In ? G.node(N).ContextFreeEntryIn
+                   : G.node(N).ContextFreeExitOut,
+                ContextFree)
+          << "node " << N;
+    }
+  }
+}
+
 /// Structural CSR invariants on \p G — valid for dense and hole-y
 /// (delta-repacked) layouts alike.
 inline void checkCsrInvariants(const pag::PAG &G) {
@@ -293,6 +336,8 @@ inline void checkCsrInvariants(const pag::PAG &G) {
       EXPECT_EQ(G.edge(E).Aux, F);
     }
   }
+
+  checkCallSiteViews(G);
 }
 
 /// Full isomorphism of the incrementally evolved \p Delta against a
@@ -310,6 +355,10 @@ inline void checkIsomorphic(const pag::PAG &Delta, const pag::PAG &Cold) {
     EXPECT_EQ(D.HasLocalEdge, C.HasLocalEdge) << P.describeVar(V.Id);
     EXPECT_EQ(D.HasGlobalIn, C.HasGlobalIn) << P.describeVar(V.Id);
     EXPECT_EQ(D.HasGlobalOut, C.HasGlobalOut) << P.describeVar(V.Id);
+    EXPECT_EQ(D.ContextFreeEntryIn, C.ContextFreeEntryIn)
+        << P.describeVar(V.Id);
+    EXPECT_EQ(D.ContextFreeExitOut, C.ContextFreeExitOut)
+        << P.describeVar(V.Id);
   }
   for (const ir::AllocSite &A : P.allocs()) {
     const pag::Node &D = Delta.node(Delta.nodeOfAlloc(A.Id));

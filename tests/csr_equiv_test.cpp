@@ -22,6 +22,7 @@
 #include "pag/PAGBuilder.h"
 #include "workload/Generator.h"
 
+#include "IrEditFuzzer.h"
 #include "RepackCorpus.h"
 
 #include <gtest/gtest.h>
@@ -246,6 +247,7 @@ void expectCsrInvariants(const pag::PAG &G) {
     EXPECT_EQ(InSeen[E], Want) << "edge " << E;
     EXPECT_EQ(OutSeen[E], Want) << "edge " << E;
   }
+  dynsum::testing::checkCallSiteViews(G);
 }
 
 /// Appends \p Count alloc+assign pairs to \p M, each assigning into

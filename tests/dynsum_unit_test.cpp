@@ -8,10 +8,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Andersen.h"
 #include "analysis/DynSum.h"
+#include "clients/Client.h"
 #include "ir/Builder.h"
 #include "ir/Parser.h"
 #include "pag/PAGBuilder.h"
+#include "support/Hashing.h"
+#include "workload/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -313,6 +317,49 @@ method m() {
   EXPECT_EQ(M.query("y"), std::vector<ir::AllocId>{M.alloc("oc")});
 }
 
+TEST(WorklistRuleTest, ContextFreeEntryBucketIsScannedUnderAContext) {
+  // rec and rec2 call each other, so rec's formal p has a ContextFree
+  // entry edge (from rec2 at @4) next to the ordinary ones from m (@2,
+  // @3).  Querying x reaches p under the context [@2]: the ContextFree
+  // edge keeps that context and leads to rec's own allocation, the @2
+  // edge pops it, and the @3 edge must not be taken.
+  Mini M(R"(
+class A {}
+class B {}
+class C {}
+method rec(p) {
+  c = new C @oc
+  r = call @1 rec2(c)
+  return p
+}
+method rec2(q) {
+  s = call @4 rec(q)
+  return s
+}
+method m() {
+  a = new A @oa
+  b = new B @ob
+  x = call @2 rec(a)
+  y = call @3 rec(b)
+}
+)");
+  const pag::PAG &G = *M.Built.Graph;
+  pag::NodeId P = M.node("p");
+  bool SawContextFree = false, SawOrdinary = false;
+  for (pag::EdgeId E : G.inEdgesOfKind(P, pag::EdgeKind::Entry))
+    (G.edge(E).ContextFree ? SawContextFree : SawOrdinary) = true;
+  ASSERT_TRUE(SawContextFree);
+  ASSERT_TRUE(SawOrdinary);
+  EXPECT_TRUE(G.node(P).ContextFreeEntryIn);
+
+  std::vector<ir::AllocId> X = {M.alloc("oa"), M.alloc("oc")};
+  std::vector<ir::AllocId> Y = {M.alloc("ob"), M.alloc("oc")};
+  std::sort(X.begin(), X.end());
+  std::sort(Y.begin(), Y.end());
+  EXPECT_EQ(M.query("x"), X);
+  EXPECT_EQ(M.query("y"), Y);
+}
+
 //===----------------------------------------------------------------------===//
 // Cache mechanics
 //===----------------------------------------------------------------------===//
@@ -392,4 +439,63 @@ TEST(DynSumCacheTest, FieldTagEncodingRoundTrips) {
     EXPECT_EQ(decodeField(encodeStoreField(F)), F);
     EXPECT_NE(encodeLoadBarField(F), encodeStoreField(F));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Exactness pins: the worklist's observable output on generated programs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Digest of the paper clients' query streams on one DynSumAnalysis
+/// over the Andersen-call-graph PAG of \p Spec (scale 0.1, generator
+/// seed 0): every result's steps, budget verdict, status and canonical
+/// targets, context ids included.  Any change to which edges the
+/// worklist crosses, in which order, moves it.  The pinned values were
+/// captured from the per-edge scan of every Entry/Exit bucket, before
+/// the call-site views existed.
+struct StreamDigest {
+  uint64_t Hash = 0;
+  uint64_t Queries = 0;
+  uint64_t OverBudget = 0;
+};
+
+StreamDigest digestClientStreams(const char *Spec) {
+  workload::GenOptions GO;
+  GO.Scale = 0.1;
+  GO.Seed = 0;
+  auto Prog = workload::generateProgram(workload::specByName(Spec), GO);
+  pag::BuiltPAG Built = buildPAGWithAndersenCallGraph(*Prog);
+  DynSumAnalysis A(*Built.Graph, AnalysisOptions());
+  StreamDigest D;
+  for (const auto &C : clients::makePaperClients()) {
+    for (const clients::ClientQuery &Q : C->makeQueries(*Built.Graph, 0)) {
+      QueryResult R = A.query(Q.Node);
+      D.Hash = hashCombine(D.Hash, R.Steps);
+      D.Hash = hashCombine(D.Hash, R.BudgetExceeded);
+      D.Hash = hashCombine(D.Hash, uint64_t(R.Status));
+      D.Hash = hashCombine(D.Hash, R.Targets.size());
+      for (const PtsTarget &T : R.Targets)
+        D.Hash = hashCombine(D.Hash, packPair(T.Alloc, T.Context.Id));
+      ++D.Queries;
+      D.OverBudget += R.BudgetExceeded;
+    }
+  }
+  return D;
+}
+
+} // namespace
+
+TEST(DynSumExactnessTest, SootCClientStreamsArePinned) {
+  StreamDigest D = digestClientStreams("soot-c");
+  EXPECT_EQ(D.Queries, 2217u);
+  EXPECT_EQ(D.OverBudget, 1u);
+  EXPECT_EQ(D.Hash, 0x67ffe29df5c5fd4bull);
+}
+
+TEST(DynSumExactnessTest, JythonClientStreamsArePinned) {
+  StreamDigest D = digestClientStreams("jython");
+  EXPECT_EQ(D.Queries, 1874u);
+  EXPECT_EQ(D.OverBudget, 9u);
+  EXPECT_EQ(D.Hash, 0x92c8cd39e25f3a49ull);
 }

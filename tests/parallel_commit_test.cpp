@@ -63,8 +63,8 @@ std::unique_ptr<ir::Program> fuzzProgram(uint64_t Seed) {
 
 /// Asserts \p A and \p B are the same graph bit for bit: same slots,
 /// same payloads, same per-method segments, same CSR span ORDER (not
-/// just multiset) — the single-writer phases make the sharded build
-/// reproduce the serial layout exactly.
+/// just multiset), same call-site views and flags — the single-writer
+/// phases make the sharded build reproduce the serial layout exactly.
 void checkBitIdentical(const pag::PAG &A, const pag::PAG &B) {
   ASSERT_EQ(A.numNodes(), B.numNodes());
   ASSERT_EQ(A.numEdgeSlots(), B.numEdgeSlots());
@@ -92,6 +92,17 @@ void checkBitIdentical(const pag::PAG &A, const pag::PAG &B) {
       for (size_t I = 0; I < SA.size(); ++I)
         ASSERT_EQ(SA[I], SB[I]) << "node " << N << " kind " << K;
     }
+    for (pag::EdgeKind K : {pag::EdgeKind::Entry, pag::EdgeKind::Exit}) {
+      pag::EdgeSpan VA = A.callEdgesBySite(N, K);
+      pag::EdgeSpan VB = B.callEdgesBySite(N, K);
+      ASSERT_EQ(VA.size(), VB.size()) << "node " << N;
+      for (size_t I = 0; I < VA.size(); ++I)
+        ASSERT_EQ(VA[I], VB[I]) << "node " << N << " view slot " << I;
+    }
+    ASSERT_EQ(A.node(N).ContextFreeEntryIn, B.node(N).ContextFreeEntryIn)
+        << "node " << N;
+    ASSERT_EQ(A.node(N).ContextFreeExitOut, B.node(N).ContextFreeExitOut)
+        << "node " << N;
   }
 }
 
