@@ -16,6 +16,10 @@
 /// (copy-on-write snapshot, shape sweep, staged lowering, partitioned
 /// repack, boundary diff), plus the async path — how long a background
 /// submitCommit holds the calling thread versus a blocking commit.
+/// The three thread counts run side by side, one service each over the
+/// same program and edit script, and take turns commit by commit, so a
+/// slow spell of a shared machine lands on every row alike rather than
+/// on one (a 100k row thus holds three 100k-method services at once).
 /// The pcommit.* keys feed the CI gate that 8-thread delta commits beat
 /// single-thread on the 10k program.
 ///
@@ -162,6 +166,16 @@ void measureDeltaVsScratch(const HarnessOptions &Opts, uint64_t MaxMethods,
             "method through lowering again (the pre-delta commit path).\n";
 }
 
+/// One commit thread count's service and samples in Part 2.
+struct BudgetRun {
+  BudgetRun(std::unique_ptr<ir::Program> P, const ServiceOptions &SO)
+      : S(std::move(P), SO), E(S) {}
+
+  AnalysisService S;
+  Editor E;
+  std::vector<double> Ms, CloneMs, ShapeMs, RepackMs;
+};
+
 /// Part 2: delta commits at 1/2/8 commit threads, and the async
 /// enqueue cost.
 void measureParallelCommits(const HarnessOptions &Opts, uint64_t MaxMethods,
@@ -193,27 +207,35 @@ void measureParallelCommits(const HarnessOptions &Opts, uint64_t MaxMethods,
   for (const PSizeRow &Row : Rows) {
     if (Row.Methods > MaxMethods)
       continue;
+    std::unique_ptr<BudgetRun> Runs[3];
+    for (unsigned TI = 0; TI < 3; ++TI) {
+      ServiceOptions SO = serviceOptions(Opts);
+      SO.Commit = ThreadCounts[TI];
+      Runs[TI] = std::make_unique<BudgetRun>(
+          programOfSize(Row.Methods, Opts.Seed), SO);
+      Runs[TI]->E.commit(); // warm-up: first-edit paths
+    }
+    // Sample I commits once on every service, starting with thread
+    // count I mod 3.
+    for (unsigned I = 0; I < Row.Samples; ++I) {
+      for (unsigned K = 0; K < 3; ++K) {
+        BudgetRun &R = *Runs[(I + K) % 3];
+        CommitStats CS = R.E.commit();
+        R.Ms.push_back(CS.Seconds * 1e3);
+        R.CloneMs.push_back(CS.CloneSeconds * 1e3);
+        R.ShapeMs.push_back(CS.ShapeSeconds * 1e3);
+        R.RepackMs.push_back(CS.RepackSeconds * 1e3);
+      }
+    }
+
     double P50ByThreads[3] = {};
     for (unsigned TI = 0; TI < 3; ++TI) {
       unsigned CT = ThreadCounts[TI];
-      ServiceOptions SO = serviceOptions(Opts);
-      SO.Commit = CT;
-      AnalysisService S(programOfSize(Row.Methods, Opts.Seed), SO);
-      Editor E(S);
-      E.commit(); // warm-up: first-edit paths
-      std::vector<double> Ms, CloneMs, ShapeMs, RepackMs;
-      for (unsigned I = 0; I < Row.Samples; ++I) {
-        CommitStats CS = E.commit();
-        Ms.push_back(CS.Seconds * 1e3);
-        CloneMs.push_back(CS.CloneSeconds * 1e3);
-        ShapeMs.push_back(CS.ShapeSeconds * 1e3);
-        RepackMs.push_back(CS.RepackSeconds * 1e3);
-      }
-
-      double P50 = percentile(Ms, 0.5), P95 = percentile(Ms, 0.95);
-      double CloneP50 = percentile(CloneMs, 0.5);
-      double ShapeP50 = percentile(ShapeMs, 0.5);
-      double RepackP50 = percentile(RepackMs, 0.5);
+      const BudgetRun &R = *Runs[TI];
+      double P50 = percentile(R.Ms, 0.5), P95 = percentile(R.Ms, 0.95);
+      double CloneP50 = percentile(R.CloneMs, 0.5);
+      double ShapeP50 = percentile(R.ShapeMs, 0.5);
+      double RepackP50 = percentile(R.RepackMs, 0.5);
       P50ByThreads[TI] = P50;
       PT.row()
           .cell(Row.Label)

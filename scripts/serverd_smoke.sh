@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Loopback smoke for dynsum_serverd: check that out-of-range numeric
+# Loopback smoke for dynsum_serverd: check that bad or out-of-range numeric
 # flags exit 2 without listening, start the server with two tenants,
 # drive both through edit/query/commit over real sockets (asserting
 # per-tenant isolation, the one-error overflow contract and the refused
@@ -95,11 +95,13 @@ drive() { # drive <port>
   python3 "$WORK/drive.py" "$1"
 }
 
-# --- Out-of-range numeric flags: usage error, never wrapped or clamped --
+# --- Bad numeric flags: usage error, never wrapped, clamped or cut short
 # (a wrapped --port=70000 would listen on 4464; a clamped
-# --max-connections=-1 would mean "unlimited").  The timeout only
-# bounds a server that wrongly starts.
-for FLAG in --port=70000 --max-connections=-1; do
+# --max-connections=-1 would mean "unlimited"; --threads=abc would read
+# 0, one shard per hardware thread).  The timeout only bounds a server
+# that wrongly starts.
+for FLAG in --port=70000 --max-connections=-1 --threads=abc \
+    --commit-threads=4x; do
   rm -f "$WORK/port"
   timeout 10 "$SERVERD" --tenant=alpha="$IR" "$FLAG" \
     --port-file="$WORK/port" >"$WORK/server.log" 2>&1

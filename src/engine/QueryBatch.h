@@ -26,8 +26,9 @@ namespace engine {
 
 /// Tunables of the batch engine.
 struct EngineOptions {
-  /// Worker threads per batch; 0 picks std::thread::hardware_concurrency
-  /// (at least 1).  A single thread runs inline without spawning.
+  /// Shards per batch; 0 picks std::thread::hardware_concurrency (at
+  /// least 1).  The shards run as tasks on the shared executor of
+  /// support/Parallel.h; a single shard runs inline on the caller.
   unsigned NumThreads = 0;
   /// Per-worker analysis tunables (budget, field depth, caching).
   analysis::AnalysisOptions Analysis;
@@ -85,7 +86,7 @@ private:
 
 /// Aggregate counters for one QueryScheduler::run.
 struct BatchStats {
-  /// Worker threads the batch actually used.
+  /// Shards the batch actually used.
   unsigned ThreadsUsed = 0;
   /// Summary-store generation the batch was pinned to.  For a scheduler
   /// that owns its store this is simply the store's generation; under

@@ -15,11 +15,10 @@ using namespace dynsum::analysis;
 using namespace dynsum::engine;
 
 unsigned QueryScheduler::effectiveThreads(size_t NumQueries) const {
-  // Each worker is an OS thread; clampThreads caps requests (including
-  // unsigned wraparounds of negative inputs) at something the OS can
-  // deliver — the same clamp the commit pipeline uses.
+  // One task per shard; clampThreads resolves 0 and caps unsigned
+  // wraparounds of negative inputs, as for the commit pipeline.
   unsigned T = clampThreads(Opts.NumThreads);
-  // Never spawn more workers than there are queries to shard.
+  // Never make more shards than there are queries.
   if (NumQueries < T)
     T = unsigned(NumQueries);
   return T == 0 ? 1 : T;
@@ -99,10 +98,11 @@ BatchResult QueryScheduler::run(const QueryBatch &B,
     return Result;
   }
 
-  // One job per shard.  A shard that throws is captured, every worker
-  // is joined, and the first exception is rethrown here to the caller.
+  // One job per shard.  A shard that throws is captured, every running
+  // shard is waited for, and the first exception is rethrown here to
+  // the caller.
   std::vector<BatchStats> ShardStats(Threads);
-  parallelJobs(Threads, Threads, [&](size_t W) {
+  parallelJobs(Threads, [&](size_t W) {
     runShard(B, W, Threads, AnalysisOpts, Epoch, Result.Outcomes,
              ShardStats[W]);
   });

@@ -4,12 +4,13 @@
 /// The parallel batched query engine.
 ///
 /// A QueryScheduler owns a shared summary store for one PAG and answers
-/// QueryBatches by sharding them round-robin over worker threads.  Each
-/// worker owns a private DynSumAnalysis — its own StackPools, summary
-/// cache and budget accounting — so the sequential algorithms run
-/// unmodified; the only cross-thread structure is the read-mostly
-/// SharedSummaryStore that lets workers reuse each other's
-/// context-independent PPTA summaries.
+/// QueryBatches by sharding them round-robin; the shards run as tasks
+/// on the shared executor (support/Parallel.h).  Each shard owns a
+/// private DynSumAnalysis — its own StackPools, summary cache and
+/// budget accounting — so the sequential algorithms run unmodified; the
+/// only cross-thread structure is the read-mostly SharedSummaryStore
+/// that lets shards reuse each other's context-independent PPTA
+/// summaries.
 ///
 /// Because summaries are deterministic in (node, fields, state) and
 /// sharing only ever substitutes an identical summary for a
@@ -71,7 +72,7 @@ public:
   /// Convenience: batch up \p Nodes and run.
   BatchResult run(const std::vector<pag::NodeId> &Nodes);
 
-  /// Threads a batch of \p NumQueries would use under the options.
+  /// Shards a batch of \p NumQueries would use under the options.
   unsigned effectiveThreads(size_t NumQueries) const;
 
   const pag::PAG &graph() const { return Graph; }

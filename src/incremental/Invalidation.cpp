@@ -7,7 +7,7 @@
 
 #include "incremental/Invalidation.h"
 
-#include "support/ExecContext.h"
+#include "support/Parallel.h"
 
 #include <cassert>
 
@@ -15,11 +15,10 @@ using namespace dynsum;
 using namespace dynsum::incremental;
 
 BoundarySnapshot
-dynsum::incremental::snapshotBoundary(const pag::PAG &G,
-                                      const support::ExecContext &Exec) {
+dynsum::incremental::snapshotBoundary(const pag::PAG &G, unsigned Threads) {
   BoundarySnapshot S;
   S.Flags.resize(G.numNodes());
-  parallelChunks(G.numNodes(), Exec,
+  parallelChunks(G.numNodes(), Threads,
                  [&](size_t Begin, size_t End, unsigned) {
                    for (pag::NodeId N = pag::NodeId(Begin); N < End; ++N) {
                      const pag::Node &Node = G.node(N);
@@ -33,7 +32,7 @@ dynsum::incremental::snapshotBoundary(const pag::PAG &G,
 InvalidationPlan dynsum::incremental::planInvalidation(
     const BoundarySnapshot &Old, const pag::PAG &NewGraph,
     const std::unordered_set<ir::MethodId> &Dirty,
-    const support::ExecContext &Exec, BoundarySnapshot *CaptureNew) {
+    unsigned Threads, BoundarySnapshot *CaptureNew) {
   InvalidationPlan Plan;
   Plan.Methods = Dirty;
   if (CaptureNew)
@@ -53,9 +52,9 @@ InvalidationPlan dynsum::incremental::planInvalidation(
   // the resulting plan is thread-count independent.
   assert(Old.Flags.size() <= NewGraph.numNodes() &&
          "stable node ids are append-only");
-  unsigned Threads = Exec.threads();
+  Threads = clampThreads(Threads);
   std::vector<std::vector<ir::MethodId>> Changed(Threads);
-  parallelChunks(Old.Flags.size(), Exec,
+  parallelChunks(Old.Flags.size(), Threads,
                  [&](size_t Begin, size_t End, unsigned Worker) {
                    std::vector<ir::MethodId> &Out = Changed[Worker];
                    ir::MethodId Last = ir::kNone - 1; // dedup runs cheaply
@@ -144,8 +143,7 @@ InvalidationPlan dynsum::incremental::patchInvalidation(
 
 InvalidationPlan dynsum::incremental::planCommitInvalidation(
     BoundarySnapshot &Boundary, bool Carried, const pag::PAG &NewGraph,
-    const std::vector<ir::MethodId> &Touched,
-    const support::ExecContext &Exec) {
+    const std::vector<ir::MethodId> &Touched, unsigned Threads) {
   // Every touched method is dirty: a forced markDirty must drop
   // summaries even when the graph proved unchanged.
   std::unordered_set<ir::MethodId> Dirty(Touched.begin(), Touched.end());
@@ -156,7 +154,7 @@ InvalidationPlan dynsum::incremental::planCommitInvalidation(
                              NewGraph.lastRepackAffectedNodes(), Dirty);
   BoundarySnapshot New;
   InvalidationPlan Plan =
-      planInvalidation(Boundary, NewGraph, Dirty, Exec, &New);
+      planInvalidation(Boundary, NewGraph, Dirty, Threads, &New);
   Boundary = std::move(New);
   return Plan;
 }

@@ -108,11 +108,9 @@ struct BoundarySnapshot {
   std::vector<BoundaryFlags> Flags;
 };
 
-/// Records \p G's boundary flags.  \p Exec shards the node sweep (the
-/// commit pipeline runs this off the serving thread and fans it out on
-/// the same pool as the rest of the pipeline).
-BoundarySnapshot snapshotBoundary(const pag::PAG &G,
-                                  const support::ExecContext &Exec = {});
+/// Records \p G's boundary flags.  \p Threads is the task budget of
+/// the node sweep (the commit pipeline passes its own).
+BoundarySnapshot snapshotBoundary(const pag::PAG &G, unsigned Threads = 1);
 
 /// What one commit must do to every summary cache built on the old
 /// graph before it can serve the new one.
@@ -126,8 +124,8 @@ struct InvalidationPlan {
 /// Diffs \p Old against the rebuilt \p NewGraph and folds in the
 /// directly edited \p Dirty methods.  Node ids are stable, so the diff
 /// compares position for position; nodes beyond the snapshot are new
-/// and need no invalidation.  \p Exec shards the position-for-position
-/// diff; the result is identical at every thread count.
+/// and need no invalidation.  \p Threads is the task budget of the
+/// position-for-position diff; the result is identical at every budget.
 ///
 /// When \p CaptureNew is non-null it is filled with \p NewGraph's
 /// boundary flags as a side effect of the diff — the same result
@@ -138,7 +136,7 @@ struct InvalidationPlan {
 InvalidationPlan
 planInvalidation(const BoundarySnapshot &Old, const pag::PAG &NewGraph,
                  const std::unordered_set<ir::MethodId> &Dirty,
-                 const support::ExecContext &Exec = {},
+                 unsigned Threads = 1,
                  BoundarySnapshot *CaptureNew = nullptr);
 
 /// O(delta) variant of planInvalidation for a snapshot carried forward
@@ -166,7 +164,7 @@ InvalidationPlan
 planCommitInvalidation(BoundarySnapshot &Boundary, bool Carried,
                        const pag::PAG &NewGraph,
                        const std::vector<ir::MethodId> &Touched,
-                       const support::ExecContext &Exec = {});
+                       unsigned Threads = 1);
 
 } // namespace incremental
 } // namespace dynsum

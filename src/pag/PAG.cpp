@@ -30,6 +30,7 @@
 
 #include "support/Debug.h"
 #include "support/OStream.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -414,8 +415,7 @@ struct BucketAdds {
 } // namespace
 
 void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
-                      const std::vector<char> &Freed,
-                      const support::ExecContext &Exec) {
+                      const std::vector<char> &Freed, unsigned Threads) {
   BucketAdds InAdds, OutAdds;
   for (EdgeId E : PendingNew) {
     const Edge &Ed = Edges[E];
@@ -462,7 +462,7 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
     unsigned CK = unsigned(siteViewKind(In));
     const BucketAdds &Adds = In ? InAdds : OutAdds;
 
-    parallelChunks(NumAffected, Exec,
+    parallelChunks(NumAffected, Threads,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
                        NodeId N = AffectedNodes[I];
@@ -520,7 +520,7 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
       SiteOff.ensureWritable(AffectedNodes[I]);
     }
 
-    parallelChunks(NumAffected, Exec,
+    parallelChunks(NumAffected, Threads,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
                      std::vector<uint64_t> Keys;
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
@@ -546,7 +546,7 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
 
   for (NodeId N : AffectedNodes)
     Nodes.ensureWritable(N);
-  parallelChunks(NumAffected, Exec,
+  parallelChunks(NumAffected, Threads,
                  [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
                    for (size_t I = ChunkBegin; I < ChunkEnd; ++I)
                      rederiveFlags(AffectedNodes[I]);
@@ -554,8 +554,7 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
 }
 
 void PAG::repackFields(const std::vector<ir::FieldId> &AffectedFields,
-                       const std::vector<char> &Freed,
-                       const support::ExecContext &Exec) {
+                       const std::vector<char> &Freed, unsigned Threads) {
   size_t NumFields = Prog.fields().size();
   FieldStoreOff.resize(NumFields * 2, 0);
   FieldLoadOff.resize(NumFields * 2, 0);
@@ -586,7 +585,7 @@ void PAG::repackFields(const std::vector<ir::FieldId> &AffectedFields,
     OffsetTable &Off = IsStore ? FieldStoreOff : FieldLoadOff;
     const auto &Adds = IsStore ? StoreAdds : LoadAdds;
 
-    parallelChunks(NumAffected, Exec,
+    parallelChunks(NumAffected, Threads,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
                        ir::FieldId F = AffectedFields[I];
@@ -628,7 +627,7 @@ void PAG::repackFields(const std::vector<ir::FieldId> &AffectedFields,
       Off.ensureWritable(F * 2);
     }
 
-    parallelChunks(NumAffected, Exec,
+    parallelChunks(NumAffected, Threads,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
                        ir::FieldId F = AffectedFields[I];
@@ -646,7 +645,7 @@ void PAG::repackFields(const std::vector<ir::FieldId> &AffectedFields,
   RebuildDirection(/*IsStore=*/false);
 }
 
-void PAG::finalizeDelta(const support::ExecContext &Exec) {
+void PAG::finalizeDelta(unsigned Threads) {
   assert(OpenSegment == ir::kNone &&
          "finalizeDelta with an open segment (partial populate)");
   LastRepackAffected.clear();
@@ -706,8 +705,8 @@ void PAG::finalizeDelta(const support::ExecContext &Exec) {
   for (EdgeId E : PendingDead)
     Freed[E] = 1;
 
-  repackNodes(AffectedNodes, Freed, Exec);
-  repackFields(AffectedFields, Freed, Exec);
+  repackNodes(AffectedNodes, Freed, Threads);
+  repackFields(AffectedFields, Freed, Threads);
 
   PendingDead.clear();
   PendingDeadMeta.clear();

@@ -71,7 +71,6 @@
 
 #include "ir/Program.h"
 #include "support/ChunkedStorage.h"
-#include "support/ExecContext.h"
 
 #include <cstdint>
 #include <string>
@@ -92,7 +91,7 @@ struct DeltaStats;
 /// befriended without an include cycle.
 DeltaStats buildPAGDelta(PAG &G, CallGraph &Calls,
                          const TargetResolver *Resolver, bool ForceFull,
-                         const support::ExecContext &Exec);
+                         unsigned Threads);
 
 using NodeId = uint32_t;
 using EdgeId = uint32_t;
@@ -270,13 +269,14 @@ public:
   /// (dead slots + relocation holes) exceeds half the live size.
   /// Requires finalize() to have run once before.
   ///
-  /// A multi-threaded \p Exec partitions the repack: workers own
-  /// disjoint ranges of the (sorted) dirty node list, region contents
-  /// are computed in parallel, placements are assigned in one serial
-  /// pass that replicates the serial policy exactly — and uniquifies
-  /// every destination chunk, so the parallel copy fan-out writes raw —
-  /// making the resulting layout bit-identical at every thread count.
-  void finalizeDelta(const support::ExecContext &Exec = {});
+  /// A \p Threads task budget above one partitions the repack: tasks
+  /// own disjoint ranges of the (sorted) dirty node list, region
+  /// contents are computed in parallel, placements are assigned in one
+  /// serial pass that replicates the serial policy exactly — and
+  /// uniquifies every destination chunk, so the parallel copy fan-out
+  /// writes raw — making the resulting layout bit-identical at every
+  /// budget.
+  void finalizeDelta(unsigned Threads = 1);
 
   //===------------------------------------------------------------------===//
   // Reading
@@ -459,15 +459,13 @@ private:
   /// the array tails.
   /// \p Freed marks the slots freed this round (shared with
   /// repackFields so the O(slots) bitmap is built once per repack).
-  /// Workers repack disjoint node ranges; see finalizeDelta(Exec).
+  /// Tasks repack disjoint node ranges; see finalizeDelta(Threads).
   void repackNodes(const std::vector<NodeId> &AffectedNodes,
-                   const std::vector<char> &Freed,
-                   const support::ExecContext &Exec);
+                   const std::vector<char> &Freed, unsigned Threads);
 
   /// Rebuilds the per-field load/store CSR regions of \p AffectedFields.
   void repackFields(const std::vector<ir::FieldId> &AffectedFields,
-                    const std::vector<char> &Freed,
-                    const support::ExecContext &Exec);
+                    const std::vector<char> &Freed, unsigned Threads);
 
   const ir::Program &Prog;
   NodeTable Nodes;
@@ -545,8 +543,7 @@ private:
   friend class PAGBuilder;
   friend DeltaStats buildPAGDelta(PAG &G, CallGraph &Calls,
                                   const TargetResolver *Resolver,
-                                  bool ForceFull,
-                                  const support::ExecContext &Exec);
+                                  bool ForceFull, unsigned Threads);
 };
 
 } // namespace pag

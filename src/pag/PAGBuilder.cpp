@@ -8,9 +8,9 @@
 
 #include "pag/PAGBuilder.h"
 
-#include "support/ExecContext.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
+#include "support/Parallel.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -150,11 +150,10 @@ uint64_t calleeShape(const CallGraph &CG, MethodId M,
 
 DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
                                       const TargetResolver *Resolver,
-                                      bool ForceFull,
-                                      const support::ExecContext &Exec) {
+                                      bool ForceFull, unsigned Threads) {
   const Program &P = G.program();
   DeltaStats DS;
-  unsigned Threads = Exec.threads();
+  Threads = clampThreads(Threads);
   DS.ThreadsUsed = Threads;
   const bool First = !G.BuiltOnce;
   const size_t NumMethods = P.methods().size();
@@ -193,7 +192,7 @@ DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
     // Fingerprinting every method hashes every statement once; shard
     // it (each worker writes a disjoint slot range of the freshly
     // allocated — hence exclusively owned — fingerprint chunks).
-    parallelChunks(NumMethods, Exec,
+    parallelChunks(NumMethods, Threads,
                    [&](size_t Begin, size_t End, unsigned) {
                      for (MethodId M = MethodId(Begin); M < End; ++M) {
                        G.BuiltBodyFp.rawAt(M) = P.methodFingerprint(M);
@@ -240,10 +239,9 @@ DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
   for (MethodId M : BodyChanged)
     Relower[M] = 1;
   const bool RelowerAll = ForceFull || First;
-  unsigned ShapeWorkers = Threads > 0 ? Threads : 1;
   std::vector<std::vector<std::pair<MethodId, uint64_t>>> ShapeChanged(
-      ShapeWorkers);
-  parallelChunks(NumMethods, Exec,
+      Threads);
+  parallelChunks(NumMethods, Threads,
                  [&](size_t Begin, size_t End, unsigned Worker) {
                    auto &Changed = ShapeChanged[Worker];
                    for (MethodId M = MethodId(Begin); M < End; ++M) {
@@ -262,23 +260,16 @@ DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
       G.BuiltShapeFp.mutableAt(M) = Shape;
   DS.ShapeSeconds = ShapeClock.seconds();
 
-  // --- Re-lower: shard the re-lower set across the worker pool, each
-  // worker lowering its (contiguous, ascending) share into private
-  // staging buffers...
+  // --- Re-lower: shard the re-lower set into contiguous chunks, each
+  // worker lowering its (ascending) share into private staging
+  // buffers...
   Timer LowerClock;
   for (MethodId M = 0; M < NumMethods; ++M)
     if (Relower[M])
       DS.Relowered.push_back(M);
 
-  unsigned LowerWorkers = Threads;
-  if (LowerWorkers > DS.Relowered.size())
-    LowerWorkers = unsigned(DS.Relowered.size());
-  if (LowerWorkers == 0)
-    LowerWorkers = 1;
-  support::ExecContext LowerExec = Exec;
-  LowerExec.Budget = LowerWorkers;
-  std::vector<StagedLowering> Staged(LowerWorkers);
-  parallelChunks(DS.Relowered.size(), LowerExec,
+  std::vector<StagedLowering> Staged(Threads);
+  parallelChunks(DS.Relowered.size(), Threads,
                  [&](size_t Begin, size_t End, unsigned Worker) {
                    StagedLowering &Out = Staged[Worker];
                    Out.Edges.reserve((End - Begin) * 8);
@@ -312,7 +303,7 @@ DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
   if (First)
     G.finalize();
   else
-    G.finalizeDelta(Exec);
+    G.finalizeDelta(Threads);
   DS.RepackSeconds = RepackClock.seconds();
   DS.Compacted = G.lastRepackCompacted();
 
@@ -324,10 +315,10 @@ DeltaStats dynsum::pag::buildPAGDelta(PAG &G, CallGraph &Calls,
 
 BuiltPAG dynsum::pag::buildPAG(const Program &P,
                                const TargetResolver *Resolver,
-                               const support::ExecContext &Exec) {
+                               unsigned Threads) {
   BuiltPAG Result;
   Result.Graph = std::make_unique<PAG>(P);
   buildPAGDelta(*Result.Graph, Result.Calls, Resolver, /*ForceFull=*/false,
-                Exec);
+                Threads);
   return Result;
 }

@@ -58,7 +58,7 @@ struct DeltaStats {
   size_t NodesAdded = 0;
   /// True when slack forced the CSR repack to compact fully.
   bool Compacted = false;
-  /// Worker count the build actually ran with (requests are clamped).
+  /// Task budget the build actually ran with (requests are clamped).
   unsigned ThreadsUsed = 1;
   /// Phase timings (seconds) of the pipeline stages worth watching:
   /// the shape-fingerprint sweep, the sharded statement lowering, the
@@ -99,10 +99,11 @@ void forEachCallCopy(const ir::Statement &S, const ir::Method &Callee,
 ///     are marked ContextFree.
 ///
 /// \p Resolver selects virtual-call targets (CHA when null).
-/// \p Exec shards statement lowering as in buildPAGDelta.
+/// \p Threads is the task budget of the sharded phases, as in
+/// buildPAGDelta.
 BuiltPAG buildPAG(const ir::Program &P,
                   const TargetResolver *Resolver = nullptr,
-                  const support::ExecContext &Exec = {});
+                  unsigned Threads = 1);
 
 /// Patches \p G and \p Calls in place to match \p G's (edited) program:
 /// appends nodes for new variables/allocation sites, re-lowers only the
@@ -112,10 +113,10 @@ BuiltPAG buildPAG(const ir::Program &P,
 /// \p ForceFull re-lowers every method regardless of fingerprints (the
 /// commit --scratch escape hatch; identical result, O(program) cost).
 ///
-/// \p Exec shards the pipeline (its thread budget; 0 = one worker per
-/// hardware thread, and phases reuse its pool when it carries one):
+/// \p Threads is the pipeline's task budget (0 = one task per
+/// hardware thread); its tasks run on the support/Parallel.h executor:
 /// the shape-fingerprint sweep partitions the method table, the
-/// re-lower set is lowered into per-worker private edge staging
+/// re-lower set is lowered into per-task private edge staging
 /// buffers, and the CSR repack partitions the dirty node buckets.
 /// Everything that assigns ids — node appends, edge slot allocation,
 /// segment bookkeeping — stays in single-writer phases, and every
@@ -124,8 +125,7 @@ BuiltPAG buildPAG(const ir::Program &P,
 /// ids, same edge slot ids, same CSR layout.
 DeltaStats buildPAGDelta(PAG &G, CallGraph &Calls,
                          const TargetResolver *Resolver = nullptr,
-                         bool ForceFull = false,
-                         const support::ExecContext &Exec = {});
+                         bool ForceFull = false, unsigned Threads = 1);
 
 } // namespace pag
 } // namespace dynsum

@@ -104,14 +104,7 @@ private:
 
 } // namespace
 
-AnalysisServer::AnalysisServer(ServerOptions O) : Opts(std::move(O)) {
-  // ONE pool shared by every tenant's commit pipeline: WorkerPool::run()
-  // is internally serialized, so tenants' phases interleave on the same
-  // threads instead of each tenant parking its own idle pool.
-  CommitCtx = Opts.CommitThreads > 1
-                  ? support::ExecContext::pooled(Opts.CommitThreads)
-                  : support::ExecContext(Opts.CommitThreads);
-}
+AnalysisServer::AnalysisServer(ServerOptions O) : Opts(std::move(O)) {}
 
 AnalysisServer::~AnalysisServer() { stop(); }
 
@@ -124,7 +117,7 @@ bool AnalysisServer::addTenant(const std::string &Name,
   service::ServiceOptions SO;
   SO.Engine.NumThreads = Opts.QueryThreads;
   SO.Engine.Analysis = Opts.Analysis;
-  SO.Commit = CommitCtx;
+  SO.Commit = Opts.CommitThreads;
   SO.KeepGenerations = Opts.KeepGenerations;
   SO.StoreStripes = Opts.StoreStripes;
   SO.Overload = Opts.Overload;

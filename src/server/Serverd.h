@@ -9,9 +9,10 @@
 /// commit queue, overload watermarks), tiered summary store and
 /// warm-restart snapshot file — so no summary, statement or allocation
 /// site can leak across tenants by construction: there is no shared
-/// mutable analysis state, only the shared commit WorkerPool
-/// (support::ExecContext::pooled), whose run() barrier is internally
-/// serialized and carries no tenant data of its own.
+/// mutable analysis state.  The tenants' query shards and commit phases
+/// all run on the process's one executor (support/Parallel.h), whose
+/// calls carry no tenant data of their own and never wait for each
+/// other.
 ///
 /// Protocol (newline-delimited, one reply block per request line):
 /// a client connects, reads the greeting block, sends "tenant <name>"
@@ -68,7 +69,8 @@ struct ServerOptions {
   unsigned MaxConnections = 64;
   /// Per-tenant query-engine thread budget.
   unsigned QueryThreads = 1;
-  /// Size of the ONE commit WorkerPool all tenants share.
+  /// Per-tenant commit task budget: each commit phase splits into at
+  /// most this many tasks on the shared executor.
   unsigned CommitThreads = 1;
   /// Per-tenant retained-generation count (rollback window).
   unsigned KeepGenerations = 0;
@@ -152,8 +154,6 @@ private:
   void reapConnections();
 
   ServerOptions Opts;
-  /// The shared commit pool: every tenant's ServiceOptions::Commit.
-  support::ExecContext CommitCtx;
   std::vector<std::unique_ptr<Tenant>> Tenants;
 
   int ListenFd = -1;

@@ -55,12 +55,6 @@ AnalysisService::AnalysisService(std::unique_ptr<ir::Program> P,
                                  ServiceOptions Opts)
     : Opts(std::move(Opts)), Prog(std::move(P)),
       Store(this->Opts.StoreStripes) {
-  // Parallel commit budgets get a persistent pool once, here, so every
-  // phase of every commit reuses the same threads instead of spawning
-  // fresh ones per phase.
-  if (!this->Opts.Commit.Pool && this->Opts.Commit.threads() > 1)
-    this->Opts.Commit.Pool =
-        std::make_shared<support::WorkerPool>(this->Opts.Commit.Budget);
   publish(buildFirstGeneration()); // generation 0, store is empty
   CommittedClock = Prog->modClock();
   // Warm restart: attach the previous run's shutdown snapshot as the
@@ -175,7 +169,7 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
   CommitStats Stats;
   Stats.Outcome = CommitOutcome::Committed;
   Stats.SummariesBefore = Store.size();
-  const support::ExecContext &Exec = Opts.Commit;
+  const unsigned Threads = Opts.Commit;
 
   // Pre-commit gate: validate exactly the methods this commit would
   // re-lower (O(dirty), not O(program)).  A rejected commit leaves
@@ -225,7 +219,7 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
     Stats.CloneSeconds = CloneClock.seconds();
     pag::DeltaStats Delta = pag::buildPAGDelta(
         *NewBuilt->Graph, NewBuilt->Calls, nullptr,
-        /*ForceFull=*/Mode == CommitMode::Scratch, Exec);
+        /*ForceFull=*/Mode == CommitMode::Scratch, Threads);
     Stats.MethodsRelowered = Delta.Relowered.size();
     Stats.ShapeSeconds = Delta.ShapeSeconds;
     Stats.LowerSeconds = Delta.LowerSeconds;
@@ -233,9 +227,10 @@ CommitStats AnalysisService::commitLocked(CommitMode Mode) {
     Stats.RepackSeconds = Delta.RepackSeconds;
 
     if (!CarriedValid)
-      CachedBoundary = incremental::snapshotBoundary(*Old->Built->Graph, Exec);
+      CachedBoundary =
+          incremental::snapshotBoundary(*Old->Built->Graph, Threads);
     InvalidationPlan Plan = incremental::planCommitInvalidation(
-        CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Exec);
+        CachedBoundary, CarriedValid, *NewBuilt->Graph, Delta.Touched, Threads);
     Stats.MethodsInvalidated = Plan.Methods.size();
     Stats.SummariesDropped = Store.beginGeneration(*NewBuilt->Graph, Plan);
 

@@ -55,11 +55,13 @@
 ///     stats.  waitForCommits() is the fence for tickets that were
 ///     dropped.
 ///
-///   * The commit pipeline shards across ServiceOptions::Commit — a
-///     support::ExecContext carrying the thread budget and, for budgets
-///     above one, a persistent WorkerPool every phase of every commit
-///     reuses (shape fingerprints, staged re-lowering, partitioned CSR
-///     repack, boundary snapshot/diff — see pag::buildPAGDelta).
+///   * The commit pipeline shards its phases (shape fingerprints,
+///     staged re-lowering, partitioned CSR repack, boundary
+///     snapshot/diff — see pag::buildPAGDelta) into at most
+///     ServiceOptions::Commit tasks each.  The tasks run on the
+///     process's one executor (support/Parallel.h), which query
+///     batches and every other service's commits share; no commit
+///     starts a thread.
 ///
 /// Because snapshots share chunks, retaining generations is cheap — a
 /// retained generation holds only the chunks its successors have since
@@ -95,7 +97,6 @@
 #include "engine/QueryScheduler.h"
 #include "incremental/Invalidation.h"
 #include "pag/PAGBuilder.h"
-#include "support/ExecContext.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -107,6 +108,14 @@
 #include <vector>
 
 namespace dynsum {
+
+namespace support {
+/// The former name of ServiceOptions::Commit's type.  perfbench's
+/// in-process backend still spells `SO.Commit = support::ExecContext(1)`;
+/// the alias goes with the next change to perfbench.
+using ExecContext = unsigned;
+} // namespace support
+
 namespace service {
 
 /// Admission-control watermarks.  All zero (the default) disables
@@ -131,19 +140,18 @@ struct OverloadPolicy {
 };
 
 /// Service tunables: the engine configuration every generation's
-/// scheduler runs with, the commit pipeline's execution context, and
-/// the generation-history depth.
+/// scheduler runs with, the commit pipeline's task budget, and the
+/// generation-history depth.
 struct ServiceOptions {
   engine::EngineOptions Engine;
-  /// Execution context the commit pipeline runs on: the shape-
-  /// fingerprint sweep, the staged re-lowering, the partitioned CSR
-  /// repack and the boundary snapshot/diff all partition over its
-  /// thread budget (0 = one per hardware thread; converts implicitly
-  /// from a plain thread count).  Budgets above one get a persistent
-  /// WorkerPool attached at construction so commits reuse threads
-  /// instead of spawning per phase.  Default: the classic serial
-  /// commit.
-  support::ExecContext Commit;
+  /// Task budget of each commit phase: the shape-fingerprint sweep, the
+  /// staged re-lowering, the partitioned CSR repack and the boundary
+  /// snapshot/diff each split into at most this many tasks (0 = one per
+  /// hardware thread).  The tasks run on the shared executor of
+  /// support/Parallel.h, so a budget counts tasks, not threads, and the
+  /// committed graph is the same at every budget.  Default: the serial
+  /// commit, inline on the committing thread.
+  unsigned Commit = 1;
   /// How many superseded generations stay retained (queryable through
   /// queryVarsAt, restorable through rollback) after a commit publishes
   /// a newer one.  Retention is cheap: snapshots share storage chunks,

@@ -7,6 +7,7 @@
 
 #include "support/CommandLine.h"
 
+#include "support/OStream.h"
 #include "support/StringExtras.h"
 
 #include <cstdlib>
@@ -54,6 +55,25 @@ int64_t CommandLine::getInt(const std::string &Name, int64_t Default) const {
   if (It == Flags.end() || It->second.empty())
     return Default;
   return std::strtoll(It->second.c_str(), nullptr, 10);
+}
+
+uint64_t CommandLine::getCount(const std::string &Name, uint64_t Default,
+                               uint64_t Max, bool &Bad) const {
+  auto It = Flags.find(Name);
+  if (It == Flags.end() || It->second.empty())
+    return Default;
+  uint64_t V = 0;
+  for (char C : It->second) {
+    uint64_t Digit = uint64_t(C - '0');
+    if (C < '0' || C > '9' || Digit > Max || V > (Max - Digit) / 10) {
+      errs() << "error: --" << Name << " wants an integer in [0, " << Max
+             << "]\n";
+      Bad = true;
+      return Default;
+    }
+    V = V * 10 + Digit;
+  }
+  return V;
 }
 
 double CommandLine::getDouble(const std::string &Name, double Default) const {

@@ -29,6 +29,14 @@ public:
   /// Returns flag \p Name parsed as an integer, or \p Default.
   int64_t getInt(const std::string &Name, int64_t Default) const;
 
+  /// Returns flag \p Name as a count, or \p Default when the flag is
+  /// absent or has an empty value.  The value must be decimal digits
+  /// only, at most \p Max.  Anything else ("abc", "4x", "-1", a value
+  /// past \p Max) prints an error naming the flag and its range, sets
+  /// \p Bad and returns \p Default.
+  uint64_t getCount(const std::string &Name, uint64_t Default, uint64_t Max,
+                    bool &Bad) const;
+
   /// Returns flag \p Name parsed as a double, or \p Default.
   double getDouble(const std::string &Name, double Default) const;
 

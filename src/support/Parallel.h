@@ -1,45 +1,46 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Fork-join helpers for the commit pipeline and other data-parallel
-/// phases.
+/// The process's one executor: fork-join helpers for query shards and
+/// for the commit pipeline's data-parallel phases.
 ///
-/// The model is deliberately minimal: a phase splits a dense index
-/// range into one contiguous chunk per worker, spawns plain
-/// std::threads for the extra workers, runs the first chunk inline and
-/// joins.  Thread spawn cost (~tens of microseconds) is negligible
-/// against the millisecond-scale phases these shard (graph clones,
-/// fingerprint sweeps, partitioned CSR repacks); keeping no persistent
-/// pool keeps every call-site self-contained and trivially
-/// exception/lifetime-safe.
+/// A call splits its work into tasks (parallelChunks: one contiguous
+/// chunk of a dense index range per task; parallelJobs: one task per
+/// job) and returns when every task has run.  The tasks run on helper
+/// threads the whole process shares — one per hardware thread minus
+/// one, started by the first call with more than one task — and on the
+/// calling thread, which claims tasks of its own call until none is
+/// left and then waits only for the ones helpers already run.  So
+/// concurrent calls (two tenants' commits, a commit and a query batch)
+/// share the helpers without waiting for each other, a call made from
+/// inside a task cannot deadlock, and no call starts an OS thread.
+/// The helpers inherit the CPU affinity and signal mask of the thread
+/// whose call started them.
 ///
 /// Determinism contract: chunking depends only on (N, Threads), never
-/// on scheduling, so any phase whose chunks write disjoint state
-/// produces identical results at every thread count.
+/// on scheduling or on how many helpers exist, so any phase whose
+/// chunks write disjoint state produces identical results at every
+/// thread count.  A thread budget counts tasks, not OS threads.
 ///
-/// Exception contract: a throw inside a worker is captured, every
-/// worker is still joined, and the first captured exception is
-/// rethrown on the calling thread — a failed phase never terminates
-/// the process and never leaks a running thread.  The phase's partial
-/// writes are the caller's problem (the commit pipeline abandons the
-/// half-built generation).
+/// Exception contract: a throw inside a task is captured, the call's
+/// tasks not yet started are skipped, every task already running is
+/// waited for, and the first captured exception is rethrown on the
+/// calling thread.  It reaches no other call, and the executor stays
+/// usable.  The phase's partial writes are the caller's problem (the
+/// commit pipeline abandons the half-built generation).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DYNSUM_SUPPORT_PARALLEL_H
 #define DYNSUM_SUPPORT_PARALLEL_H
 
-#include <atomic>
 #include <cstddef>
-#include <exception>
 #include <thread>
-#include <vector>
 
 namespace dynsum {
 
-/// Clamps a worker-count request to something the OS can deliver
-/// (0 = one per hardware thread; negative inputs arrive as huge
-/// unsigneds and are capped too).
+/// Resolves a task budget: 0 = one task per hardware thread, and
+/// negative inputs, which arrive as huge unsigneds, are capped.
 inline unsigned clampThreads(unsigned Requested) {
   constexpr unsigned kMaxThreads = 256;
   unsigned T = Requested;
@@ -54,99 +55,48 @@ inline unsigned clampThreads(unsigned Requested) {
 namespace support {
 namespace detail {
 
-/// First-exception capture shared by the fork-join helpers: workers
-/// race to claim the slot, the winner stores its exception, and the
-/// join (or pool barrier) publishes it to the caller.
-struct FirstException {
-  std::atomic<bool> Claimed{false};
-  std::exception_ptr Error;
+/// Runs Run(Ctx, I) for every I in [0, NumTasks) on the executor and
+/// the calling thread, under the exception contract above.  One task
+/// runs inline on the caller.
+void runTasks(size_t NumTasks, void (*Run)(void *, size_t), void *Ctx);
 
-  template <typename Fn> void guard(Fn &&F) {
-    try {
-      F();
-    } catch (...) {
-      if (!Claimed.exchange(true, std::memory_order_acq_rel))
-        Error = std::current_exception();
-    }
-  }
+template <typename TaskFn> void runTask(void *Ctx, size_t I) {
+  (*static_cast<TaskFn *>(Ctx))(I);
+}
 
-  /// Call after every worker has been joined / passed the barrier.
-  void rethrow() {
-    if (Claimed.load(std::memory_order_acquire) && Error)
-      std::rethrow_exception(Error);
-  }
-};
+template <typename TaskFn> void runTasks(size_t NumTasks, TaskFn &Task) {
+  runTasks(NumTasks, runTask<TaskFn>, &Task);
+}
 
 } // namespace detail
 } // namespace support
 
-/// Runs \p F(Begin, End, Worker) over [0, N) split into at most
-/// \p Threads contiguous chunks.  Worker indices are dense in
-/// [0, workers-used); chunk boundaries depend only on (N, Threads).
-/// With one thread (or N <= 1) everything runs inline on the caller.
+/// Runs \p F(Begin, End, Chunk) over [0, N) split into at most
+/// \p Threads contiguous chunks, one task each.  Chunk indices are
+/// dense in [0, chunks used); chunk boundaries depend only on
+/// (N, Threads).  With one chunk (one thread, or N <= 1) \p F runs
+/// inline on the caller.
 template <typename Fn>
 void parallelChunks(size_t N, unsigned Threads, Fn &&F) {
-  Threads = clampThreads(Threads);
   if (N == 0)
     return;
+  Threads = clampThreads(Threads);
   if (Threads > N)
     Threads = unsigned(N);
   size_t Chunk = (N + Threads - 1) / Threads;
-  if (Threads <= 1) {
-    F(size_t(0), N, 0u);
-    return;
-  }
-  support::detail::FirstException Err;
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W) {
-    size_t Begin = size_t(W) * Chunk;
-    if (Begin >= N)
-      break;
+  auto Task = [&F, N, Chunk](size_t W) {
+    size_t Begin = W * Chunk;
     size_t End = Begin + Chunk < N ? Begin + Chunk : N;
-    Workers.emplace_back([&F, &Err, Begin, End, W] {
-      Err.guard([&] { F(Begin, End, W); });
-    });
-  }
-  Err.guard([&] { F(size_t(0), Chunk < N ? Chunk : N, 0u); });
-  for (std::thread &T : Workers)
-    T.join();
-  Err.rethrow();
+    F(Begin, End, unsigned(W));
+  };
+  support::detail::runTasks((N + Chunk - 1) / Chunk, Task);
 }
 
-/// Runs a small fixed set of independent jobs (e.g. "copy this member
-/// array") across up to \p Threads workers.  Unlike parallelChunks,
-/// jobs are claimed dynamically (an atomic cursor), because job costs
-/// are typically lopsided; each job runs exactly once.  Jobs must write
-/// disjoint state.
-template <typename JobFn>
-void parallelJobs(size_t NumJobs, unsigned Threads, JobFn &&Job) {
-  Threads = clampThreads(Threads);
-  if (Threads > NumJobs)
-    Threads = unsigned(NumJobs);
-  if (Threads <= 1) {
-    for (size_t I = 0; I < NumJobs; ++I)
-      Job(I);
-    return;
-  }
-  std::atomic<size_t> Next{0};
-  support::detail::FirstException Err;
-  auto Drain = [&Next, &Job, &Err, NumJobs] {
-    for (size_t I; (I = Next.fetch_add(1, std::memory_order_relaxed)) <
-                   NumJobs;) {
-      if (Err.Claimed.load(std::memory_order_relaxed))
-        return; // fail fast: stop claiming jobs once one has thrown
-      Err.guard([&] { Job(I); });
-    }
-  };
-  std::vector<std::thread> Workers;
-  Workers.reserve(Threads - 1);
-  for (unsigned W = 1; W < Threads; ++W)
-    Workers.emplace_back(Drain);
-  Drain();
-  for (std::thread &T : Workers)
-    T.join();
-  Err.rethrow();
+/// Runs \p Job(I) exactly once for each I in [0, NumJobs), one task per
+/// job.  Jobs must write disjoint state.
+template <typename JobFn> void parallelJobs(size_t NumJobs, JobFn &&Job) {
+  auto Task = [&Job](size_t I) { Job(I); };
+  support::detail::runTasks(NumJobs, Task);
 }
 
 } // namespace dynsum

@@ -22,12 +22,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -415,6 +417,35 @@ TEST(CommandLineTest, RepeatedFlagsKeepEveryValueInOrder) {
   EXPECT_EQ(CL.getString("query", ""), "a.b.c");
 }
 
+/// getCount("n", 5, Max, Bad) over the command line "prog --n=<Value>".
+static uint64_t countOf(const std::string &Value, uint64_t Max, bool &Bad) {
+  std::string Arg = "--n=" + Value;
+  const char *Argv[] = {"prog", Arg.c_str()};
+  return CommandLine(2, Argv).getCount("n", 5, Max, Bad);
+}
+
+TEST(CommandLineTest, CountsAcceptOnlyDigitsInRange) {
+  constexpr uint64_t kU32 = 4294967295u;
+  bool Bad = false;
+  EXPECT_EQ(countOf("0", kU32, Bad), 0u);
+  EXPECT_EQ(countOf("17", kU32, Bad), 17u);
+  EXPECT_EQ(countOf("17", 17, Bad), 17u);
+  EXPECT_EQ(countOf("4294967295", kU32, Bad), kU32);
+  EXPECT_EQ(countOf("", kU32, Bad), 5u) << "an empty value reads the default";
+  EXPECT_FALSE(Bad);
+  for (const char *Value : {"abc", "4x", "-1", "4294967296", "+3"}) {
+    Bad = false;
+    countOf(Value, kU32, Bad);
+    EXPECT_TRUE(Bad) << "--n=" << Value;
+  }
+  Bad = false;
+  countOf("17", 16, Bad);
+  EXPECT_TRUE(Bad) << "17 is past a maximum of 16";
+  Bad = false;
+  countOf("7", 0, Bad);
+  EXPECT_TRUE(Bad) << "7 is past a maximum of 0";
+}
+
 TEST(HashingTest, PackPairIsInjectiveOnHalves) {
   EXPECT_NE(packPair(1, 2), packPair(2, 1));
   EXPECT_EQ(packPair(7, 9) >> 32, 7u);
@@ -583,7 +614,7 @@ TEST(SmallVectorTest, PushBackOfOwnElementSurvivesGrowth) {
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel (the commit pipeline's fork-join helpers)
+// Parallel (the executor of query shards and commit phases)
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelTest, ClampThreadsResolvesZeroAndCapsWraparounds) {
@@ -631,15 +662,103 @@ TEST(ParallelTest, ChunkBoundariesAreSchedulingIndependent) {
 }
 
 TEST(ParallelTest, JobsEachRunExactlyOnce) {
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    constexpr size_t kJobs = 23;
-    std::vector<std::atomic<unsigned>> Ran(kJobs);
+  for (size_t NumJobs : {0u, 1u, 2u, 23u}) {
+    std::vector<std::atomic<unsigned>> Ran(NumJobs);
     for (auto &R : Ran)
       R.store(0);
-    parallelJobs(kJobs, Threads, [&](size_t I) { Ran[I].fetch_add(1); });
-    for (size_t I = 0; I < kJobs; ++I)
-      EXPECT_EQ(Ran[I].load(), 1u) << "job " << I;
+    parallelJobs(NumJobs, [&](size_t I) { Ran[I].fetch_add(1); });
+    for (size_t I = 0; I < NumJobs; ++I)
+      EXPECT_EQ(Ran[I].load(), 1u) << "job " << I << " of " << NumJobs;
   }
+}
+
+/// One 8-chunk call over [0, N): true when every index ran exactly once.
+static bool coversEveryIndexOnce(size_t N) {
+  std::vector<std::atomic<unsigned>> Seen(N);
+  for (auto &S : Seen)
+    S.store(0);
+  parallelChunks(N, 8, [&](size_t Begin, size_t End, unsigned) {
+    for (size_t I = Begin; I < End; ++I)
+      Seen[I].fetch_add(1);
+  });
+  for (const auto &S : Seen)
+    if (S.load() != 1)
+      return false;
+  return true;
+}
+
+TEST(ParallelTest, ConcurrentCallsEachCoverEveryIndex) {
+  // Four callers share the executor's helpers; no call may lose or
+  // repeat another call's task.
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Callers;
+  for (unsigned T = 0; T < 4; ++T)
+    Callers.emplace_back([&] {
+      for (unsigned Call = 0; Call < 200; ++Call)
+        if (!coversEveryIndexOnce(64))
+          Failures.fetch_add(1);
+    });
+  for (std::thread &T : Callers)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+}
+
+TEST(ParallelTest, CallFromInsideATaskCompletes) {
+  std::atomic<unsigned> Inner{0};
+  parallelChunks(8, 8, [&](size_t, size_t, unsigned) {
+    parallelChunks(16, 4, [&](size_t Begin, size_t End, unsigned) {
+      Inner.fetch_add(unsigned(End - Begin));
+    });
+  });
+  EXPECT_EQ(Inner.load(), 8u * 16u);
+}
+
+TEST(ParallelTest, ThrowReachesOnlyItsOwnCaller) {
+  // One caller's calls throw from one chunk while another caller's
+  // calls run beside them: only the first sees the exception, and the
+  // executor stays usable afterwards.
+  std::atomic<unsigned> Thrown{0}, Clean{0};
+  std::thread Thrower([&] {
+    for (unsigned Call = 0; Call < 100; ++Call) {
+      try {
+        parallelChunks(8, 8, [](size_t Begin, size_t, unsigned) {
+          if (Begin == 3)
+            throw std::runtime_error("chunk 3");
+        });
+      } catch (const std::runtime_error &) {
+        Thrown.fetch_add(1);
+      }
+    }
+  });
+  std::thread Bystander([&] {
+    for (unsigned Call = 0; Call < 100; ++Call) {
+      try {
+        if (coversEveryIndexOnce(64))
+          Clean.fetch_add(1);
+      } catch (...) {
+        // Leaves Clean short of 100, which the test reports.
+      }
+    }
+  });
+  Thrower.join();
+  Bystander.join();
+  EXPECT_EQ(Thrown.load(), 100u);
+  EXPECT_EQ(Clean.load(), 100u);
+  EXPECT_TRUE(coversEveryIndexOnce(64)) << "the next call runs every task";
+}
+
+TEST(ParallelTest, CallsRunOnAtMostOneThreadPerHardwareThread) {
+  // Tasks are not threads: a 64-chunk call runs on the shared helpers
+  // and its caller, never on a thread of its own per chunk.
+  std::mutex M;
+  std::set<std::thread::id> Ran;
+  parallelChunks(64, 64, [&](size_t, size_t, unsigned) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::lock_guard<std::mutex> Lock(M);
+    Ran.insert(std::this_thread::get_id());
+  });
+  unsigned Hardware = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_LE(Ran.size(), size_t(Hardware));
 }
 
 //===----------------------------------------------------------------------===//

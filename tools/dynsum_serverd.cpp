@@ -22,7 +22,8 @@
 ///                  [--max-active-batches=N] [--resume-active-batches=N]
 ///                  [--max-commit-backlog=N]
 ///
-/// A negative numeric flag, or a port above 65535, is a usage error
+/// A numeric flag that is not all decimal digits, or lies outside its
+/// range (a port above 65535, a count above 2^32-1), is a usage error
 /// (exit 2).
 ///
 /// The server drains gracefully on SIGTERM/SIGINT: it stops accepting,
@@ -74,34 +75,30 @@ int runServerd(int argc, char **argv) {
   if (TenantSpecs.empty())
     return usage();
 
-  // Numeric flags are counts.  A value outside the field's range is a
-  // usage error: wrapped, --port=70000 would listen on 4464, and
-  // clamped, --max-connections=-1 would become 0, "unlimited".
-  bool BadFlag = false;
-  auto Count = [&](const char *Name, int64_t Default,
-                   int64_t Max = std::numeric_limits<unsigned>::max()) {
-    int64_t V = Args.getInt(Name, Default);
-    if (V >= 0 && V <= Max)
-      return uint64_t(V);
-    errs() << "error: --" << Name << " wants an integer in [0, " << Max
-           << "]\n";
-    BadFlag = true;
-    return uint64_t(0);
-  };
+  // Numeric flags are counts (CommandLine::getCount).  A value that is
+  // not one, or lies outside the field's range, is a usage error:
+  // wrapped, --port=70000 would listen on 4464, and clamped,
+  // --max-connections=-1 would become 0, "unlimited".
+  constexpr uint64_t kU32 = std::numeric_limits<unsigned>::max();
+  bool Bad = false;
   server::ServerOptions SO;
-  SO.Port = uint16_t(Count("port", 0, 65535));
-  SO.MaxConnections = unsigned(Count("max-connections", 64));
-  SO.QueryThreads = unsigned(Count("threads", 2));
-  SO.CommitThreads = unsigned(Count("commit-threads", 1));
-  SO.KeepGenerations = unsigned(Count("keep-generations", 0));
-  SO.StoreStripes = unsigned(Count("store-stripes", 0));
+  SO.Port = uint16_t(Args.getCount("port", 0, 65535, Bad));
+  SO.MaxConnections = unsigned(Args.getCount("max-connections", 64, kU32, Bad));
+  SO.QueryThreads = unsigned(Args.getCount("threads", 2, kU32, Bad));
+  SO.CommitThreads = unsigned(Args.getCount("commit-threads", 1, kU32, Bad));
+  SO.KeepGenerations =
+      unsigned(Args.getCount("keep-generations", 0, kU32, Bad));
+  SO.StoreStripes = unsigned(Args.getCount("store-stripes", 0, kU32, Bad));
   SO.SnapshotDir = Args.getString("snapshot-dir", "");
   SO.Analysis.BudgetPerQuery =
-      Count("budget", 75000, std::numeric_limits<int64_t>::max());
-  SO.Overload.MaxActiveBatches = unsigned(Count("max-active-batches", 0));
-  SO.Overload.ResumeActiveBatches = unsigned(Count("resume-active-batches", 0));
-  SO.Overload.MaxCommitBacklog = unsigned(Count("max-commit-backlog", 0));
-  if (BadFlag)
+      Args.getCount("budget", 75000, std::numeric_limits<int64_t>::max(), Bad);
+  SO.Overload.MaxActiveBatches =
+      unsigned(Args.getCount("max-active-batches", 0, kU32, Bad));
+  SO.Overload.ResumeActiveBatches =
+      unsigned(Args.getCount("resume-active-batches", 0, kU32, Bad));
+  SO.Overload.MaxCommitBacklog =
+      unsigned(Args.getCount("max-commit-backlog", 0, kU32, Bad));
+  if (Bad)
     return usage();
 
   server::AnalysisServer Server(SO);

@@ -21,8 +21,12 @@
 ///                 [--snapshot=path] [--warm-from-disk=path]
 ///                 [--store-stripes=N]
 ///
+/// Numeric flags take decimal digits only; any other value, or one out
+/// of range, is a usage error (exit 2).
+///
 /// --threads routes queries and clients through the parallel batch
-/// engine (dynsum only; 0 = one worker per hardware thread).
+/// engine (dynsum only; N shards per batch, 0 = one per hardware
+/// thread).
 ///
 /// --load-summaries / --save-summaries go through a summary store —
 /// the engine's under --threads, otherwise one the sequential DYNSUM
@@ -36,11 +40,11 @@
 /// the commands).  Queries run through the parallel engine against the
 /// current generation; edits buffer until "commit" publishes the next
 /// one ("commit --async" queues it on the background committer instead
-/// of blocking the REPL; --commit-threads=N shards the commit pipeline
-/// itself).  --keep-generations=N retains superseded snapshots: the
-/// "generations" command lists them with their structural-sharing cost
-/// and "rollback <gen>" republishes one in O(1).  "save"/"load" persist
-/// warm summaries across serve sessions.
+/// of blocking the REPL; --commit-threads=N splits each commit phase
+/// into up to N tasks).  --keep-generations=N retains superseded
+/// snapshots: the "generations" command lists them with their
+/// structural-sharing cost and "rollback <gen>" republishes one in
+/// O(1).  "save"/"load" persist warm summaries across serve sessions.
 ///
 /// --snapshot=path is the warm-restart loop in one flag: the service
 /// saves its summary store there on shutdown and, on the next start,
@@ -83,6 +87,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +248,24 @@ int runTool(int argc, char **argv) {
   if (Args.positional().empty())
     return usage();
 
+  // Numeric flags are counts; a value that is not one, or is out of
+  // range, is a usage error (see CommandLine::getCount).
+  constexpr uint64_t kU32 = std::numeric_limits<unsigned>::max();
+  bool Bad = false;
+  uint64_t Budget =
+      Args.getCount("budget", 75000, std::numeric_limits<int64_t>::max(), Bad);
+  unsigned Threads =
+      unsigned(Args.getCount("threads", Args.has("serve") ? 4 : 0, kU32, Bad));
+  unsigned CommitThreads =
+      unsigned(Args.getCount("commit-threads", 1, kU32, Bad));
+  unsigned KeepGenerations =
+      unsigned(Args.getCount("keep-generations", 0, kU32, Bad));
+  unsigned StoreStripes =
+      unsigned(Args.getCount("store-stripes", 0, kU32, Bad));
+  size_t MaxQueries = size_t(Args.getCount("max-queries", 0, kU32, Bad));
+  if (Bad)
+    return usage();
+
   std::unique_ptr<ir::Program> Prog = loadProgram(Args.positional().front());
   if (!Prog)
     return 1;
@@ -256,18 +279,10 @@ int runTool(int argc, char **argv) {
   // its own PAG per generation, so it takes over right here.
   if (Args.has("serve")) {
     analysis::AnalysisOptions ServeOpts;
-    ServeOpts.BudgetPerQuery = uint64_t(Args.getInt("budget", 75000));
-    int64_t ServeThreads = Args.getInt("threads", 4);
-    int64_t CommitThreads = Args.getInt("commit-threads", 1);
-    int64_t KeepGenerations = Args.getInt("keep-generations", 0);
-    int64_t StoreStripes = Args.getInt("store-stripes", 0);
-    return runServe(std::move(Prog), ServeOpts,
-                    ServeThreads < 0 ? 0u : unsigned(ServeThreads),
-                    CommitThreads < 0 ? 0u : unsigned(CommitThreads),
-                    KeepGenerations < 0 ? 0u : unsigned(KeepGenerations),
-                    Args.getString("snapshot", ""),
-                    Args.getString("warm-from-disk", ""),
-                    StoreStripes < 0 ? 0u : unsigned(StoreStripes));
+    ServeOpts.BudgetPerQuery = Budget;
+    return runServe(std::move(Prog), ServeOpts, Threads, CommitThreads,
+                    KeepGenerations, Args.getString("snapshot", ""),
+                    Args.getString("warm-from-disk", ""), StoreStripes);
   }
 
   // Dispatch resolver.
@@ -305,7 +320,7 @@ int runTool(int argc, char **argv) {
   }
 
   analysis::AnalysisOptions Opts;
-  Opts.BudgetPerQuery = uint64_t(Args.getInt("budget", 75000));
+  Opts.BudgetPerQuery = Budget;
   std::string AnalysisName = Args.getString("analysis", "dynsum");
   analysis::DynSumAnalysis *AsDynSum = nullptr;
   std::unique_ptr<analysis::DemandAnalysis> Analysis =
@@ -323,13 +338,8 @@ int runTool(int argc, char **argv) {
       errs() << "error: --threads requires --analysis=dynsum\n";
       return 1;
     }
-    int64_t Threads = Args.getInt("threads", 0);
-    if (Threads < 0) {
-      errs() << "error: --threads must be >= 0 (0 = auto)\n";
-      return usage();
-    }
     engine::EngineOptions EO;
-    EO.NumThreads = unsigned(Threads);
+    EO.NumThreads = Threads;
     EO.Analysis = Opts;
     Scheduler = std::make_unique<engine::QueryScheduler>(*Built.Graph, EO);
   }
@@ -403,7 +413,6 @@ int runTool(int argc, char **argv) {
   // Clients.
   std::string ClientName = Args.getString("client", "");
   if (!ClientName.empty()) {
-    size_t MaxQueries = size_t(Args.getInt("max-queries", 0));
     std::vector<std::unique_ptr<clients::Client>> Selected;
     for (auto &C : clients::makeAllClients()) {
       std::string Lower = C->name();
