@@ -7,7 +7,11 @@
 
 #include "Harness.h"
 
+#include "support/OStream.h"
+
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 using namespace dynsum;
 using namespace dynsum::bench;
@@ -70,15 +74,31 @@ bool BenchJson::writeFile(const std::string &Path) const {
   return Ok;
 }
 
-HarnessOptions HarnessOptions::parse(int Argc, const char *const *Argv) {
+void dynsum::bench::usageExit(const char *Prog, const char *BenchFlags) {
+  errs() << "usage: " << Prog
+         << " [--scale=X] [--budget=N] [--seed=N] [--bench=name]\n"
+            "       [--threads=N] [--json=file]";
+  if (*BenchFlags)
+    errs() << ' ' << BenchFlags;
+  errs() << '\n';
+  std::exit(2);
+}
+
+HarnessOptions HarnessOptions::parse(int Argc, const char *const *Argv,
+                                     const char *BenchFlags) {
   CommandLine CL(Argc, Argv);
   HarnessOptions O;
-  O.Scale = CL.getDouble("scale", O.Scale);
-  O.Budget = uint64_t(CL.getInt("budget", int64_t(O.Budget)));
-  O.Seed = uint64_t(CL.getInt("seed", 0));
-  O.Threads = unsigned(CL.getInt("threads", int64_t(O.Threads)));
+  bool Bad = false;
+  O.Scale = CL.getDouble("scale", O.Scale, Bad);
+  O.Budget = CL.getCount("budget", O.Budget,
+                         std::numeric_limits<int64_t>::max(), Bad);
+  O.Seed = CL.getCount("seed", 0, std::numeric_limits<uint64_t>::max(), Bad);
+  O.Threads = unsigned(CL.getCount(
+      "threads", O.Threads, std::numeric_limits<unsigned>::max(), Bad));
   O.Only = CL.getString("bench", "");
   O.JsonPath = CL.getString("json", "");
+  if (Bad)
+    usageExit(Argv[0], BenchFlags);
   return O;
 }
 

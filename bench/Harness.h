@@ -54,6 +54,10 @@ private:
   std::vector<std::pair<std::string, std::string>> Entries;
 };
 
+/// Prints the harness flags, then \p BenchFlags (a bench's own, e.g.
+/// "[--commit-max-methods=N]"), as a usage message and exits 2.
+[[noreturn]] void usageExit(const char *Prog, const char *BenchFlags = "");
+
 /// Harness-wide knobs parsed from the command line:
 ///   --scale=<double>   linear size factor vs the paper (default 1/32)
 ///   --budget=<int>     per-query traversal budget (default 75000)
@@ -61,6 +65,8 @@ private:
 ///   --bench=<name>     restrict to one Table 3 program
 ///   --threads=<int>    batch-engine worker threads (default 4)
 ///   --json=<file>      write machine-readable metrics to <file>
+/// A value that is not a count (CommandLine::getCount), or for --scale
+/// not a number (CommandLine::getDouble), is a usage error.
 struct HarnessOptions {
   double Scale = 1.0 / 32;
   uint64_t Budget = 75000;
@@ -69,7 +75,10 @@ struct HarnessOptions {
   std::string Only;
   std::string JsonPath;
 
-  static HarnessOptions parse(int Argc, const char *const *Argv);
+  /// Parses the harness flags; a bad value calls usageExit(Argv[0],
+  /// BenchFlags).
+  static HarnessOptions parse(int Argc, const char *const *Argv,
+                              const char *BenchFlags = "");
 
   analysis::AnalysisOptions analysisOptions() const {
     analysis::AnalysisOptions O;

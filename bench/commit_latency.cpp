@@ -16,10 +16,16 @@
 /// (copy-on-write snapshot, shape sweep, staged lowering, partitioned
 /// repack, boundary diff), plus the async path — how long a background
 /// submitCommit holds the calling thread versus a blocking commit.
-/// The three thread counts run side by side, one service each over the
-/// same program and edit script, and take turns commit by commit, so a
-/// slow spell of a shared machine lands on every row alike rather than
-/// on one (a 100k row thus holds three 100k-method services at once).
+/// The 10k row's three thread counts run side by side, one service
+/// each over the same program and edit script, and take turns commit by
+/// commit, so a slow spell of a shared machine lands on every row alike
+/// rather than on one.  Each commit then starts with the other two
+/// services' data in the caches, so the 10k per-phase keys read higher
+/// than for a service running alone (clone_p50_ms about 0.3 ms, where
+/// Part 3's snapshot of the same 10k graph reads about 0.08 ms) and do
+/// not compare with 10k rows recorded before the turns.  The 100k row
+/// runs its thread counts one after another, one service at a time:
+/// each service holds about 1.1 GB of PAG (Part 3's graph KB column).
 /// The pcommit.* keys feed the CI gate that 8-thread delta commits beat
 /// single-thread on the 10k program.
 ///
@@ -166,13 +172,24 @@ void measureDeltaVsScratch(const HarnessOptions &Opts, uint64_t MaxMethods,
             "method through lowering again (the pre-delta commit path).\n";
 }
 
-/// One commit thread count's service and samples in Part 2.
+/// One commit thread count's service in Part 2.
 struct BudgetRun {
   BudgetRun(std::unique_ptr<ir::Program> P, const ServiceOptions &SO)
       : S(std::move(P), SO), E(S) {}
 
   AnalysisService S;
   Editor E;
+};
+
+/// One commit thread count's samples in Part 2.
+struct BudgetSamples {
+  void add(const CommitStats &CS) {
+    Ms.push_back(CS.Seconds * 1e3);
+    CloneMs.push_back(CS.CloneSeconds * 1e3);
+    ShapeMs.push_back(CS.ShapeSeconds * 1e3);
+    RepackMs.push_back(CS.RepackSeconds * 1e3);
+  }
+
   std::vector<double> Ms, CloneMs, ShapeMs, RepackMs;
 };
 
@@ -186,10 +203,11 @@ void measureParallelCommits(const HarnessOptions &Opts, uint64_t MaxMethods,
     const char *Label;
     size_t Methods;
     unsigned Samples;
+    bool TakeTurns;
   };
   const PSizeRow Rows[] = {
-      {"10k", 10000, 15},
-      {"100k", 100000, 5},
+      {"10k", 10000, 15, true},
+      {"100k", 100000, 5, false},
   };
   const unsigned ThreadCounts[] = {1, 2, 8};
 
@@ -208,30 +226,38 @@ void measureParallelCommits(const HarnessOptions &Opts, uint64_t MaxMethods,
     if (Row.Methods > MaxMethods)
       continue;
     std::unique_ptr<BudgetRun> Runs[3];
-    for (unsigned TI = 0; TI < 3; ++TI) {
+    BudgetSamples Samples[3];
+    auto Open = [&](unsigned TI) {
       ServiceOptions SO = serviceOptions(Opts);
       SO.Commit = ThreadCounts[TI];
       Runs[TI] = std::make_unique<BudgetRun>(
           programOfSize(Row.Methods, Opts.Seed), SO);
       Runs[TI]->E.commit(); // warm-up: first-edit paths
-    }
-    // Sample I commits once on every service, starting with thread
-    // count I mod 3.
-    for (unsigned I = 0; I < Row.Samples; ++I) {
-      for (unsigned K = 0; K < 3; ++K) {
-        BudgetRun &R = *Runs[(I + K) % 3];
-        CommitStats CS = R.E.commit();
-        R.Ms.push_back(CS.Seconds * 1e3);
-        R.CloneMs.push_back(CS.CloneSeconds * 1e3);
-        R.ShapeMs.push_back(CS.ShapeSeconds * 1e3);
-        R.RepackMs.push_back(CS.RepackSeconds * 1e3);
+    };
+    if (Row.TakeTurns) {
+      for (unsigned TI = 0; TI < 3; ++TI)
+        Open(TI);
+      // Sample I commits once on every service, starting with thread
+      // count I mod 3.
+      for (unsigned I = 0; I < Row.Samples; ++I) {
+        for (unsigned K = 0; K < 3; ++K) {
+          unsigned TI = (I + K) % 3;
+          Samples[TI].add(Runs[TI]->E.commit());
+        }
+      }
+    } else {
+      for (unsigned TI = 0; TI < 3; ++TI) {
+        Open(TI);
+        for (unsigned I = 0; I < Row.Samples; ++I)
+          Samples[TI].add(Runs[TI]->E.commit());
+        Runs[TI].reset();
       }
     }
 
     double P50ByThreads[3] = {};
     for (unsigned TI = 0; TI < 3; ++TI) {
       unsigned CT = ThreadCounts[TI];
-      const BudgetRun &R = *Runs[TI];
+      const BudgetSamples &R = Samples[TI];
       double P50 = percentile(R.Ms, 0.5), P95 = percentile(R.Ms, 0.95);
       double CloneP50 = percentile(R.CloneMs, 0.5);
       double ShapeP50 = percentile(R.ShapeMs, 0.5);
@@ -371,9 +397,13 @@ void measureRetention(const HarnessOptions &Opts, uint64_t MaxMethods,
 } // namespace
 
 int main(int argc, char **argv) {
-  HarnessOptions Opts = HarnessOptions::parse(argc, argv);
-  uint64_t MaxMethods =
-      uint64_t(CommandLine(argc, argv).getInt("commit-max-methods", 100000));
+  const char *BenchFlags = "[--commit-max-methods=N]";
+  HarnessOptions Opts = HarnessOptions::parse(argc, argv, BenchFlags);
+  bool Bad = false;
+  uint64_t MaxMethods = CommandLine(argc, argv).getCount(
+      "commit-max-methods", 100000, UINT64_MAX, Bad);
+  if (Bad)
+    usageExit(argv[0], BenchFlags);
   BenchJson Json;
   measureDeltaVsScratch(Opts, MaxMethods, Json);
   measureParallelCommits(Opts, MaxMethods, Json);

@@ -13,7 +13,7 @@
 /// STASUM's offline closure is computed once per program (it is
 /// client-independent) with a practical field-depth k-limit — the paper
 /// notes STASUM must bound its summary count with user-supplied
-/// heuristics; this is ours (--stasum-depth, default 12).
+/// heuristics; this is ours (--stasum-depth, default 6).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,17 +32,24 @@ using namespace dynsum::bench;
 using namespace dynsum::clients;
 
 int main(int argc, char **argv) {
-  HarnessOptions Opts = HarnessOptions::parse(argc, argv);
+  const char *BenchFlags =
+      "[--stasum-depth=N] [--stasum-steps=N] [--stasum-max=N]";
+  HarnessOptions Opts = HarnessOptions::parse(argc, argv, BenchFlags);
   CommandLine CL(argc, argv);
+  bool Bad = false;
+  StaSumOptions SO;
+  SO.MaxFieldDepth =
+      uint32_t(CL.getCount("stasum-depth", 6, UINT32_MAX, Bad));
+  SO.StepBudget =
+      CL.getCount("stasum-steps", 50 * 1000 * 1000, UINT64_MAX, Bad);
+  SO.MaxSummaries =
+      CL.getCount("stasum-max", 2 * 1000 * 1000, UINT64_MAX, Bad);
+  if (Bad)
+    usageExit(argv[0], BenchFlags);
   constexpr unsigned kBatches = 10;
   outs() << "=== Figure 5: cumulative DYNSUM summaries / STASUM summaries "
             "(%), scale="
          << Opts.Scale << " ===\n";
-
-  StaSumOptions SO;
-  SO.MaxFieldDepth = uint32_t(CL.getInt("stasum-depth", 6));
-  SO.StepBudget = uint64_t(CL.getInt("stasum-steps", 50 * 1000 * 1000));
-  SO.MaxSummaries = uint64_t(CL.getInt("stasum-max", 2 * 1000 * 1000));
 
   // One generated program + one static closure per benchmark, shared by
   // the three clients.

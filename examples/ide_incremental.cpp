@@ -25,7 +25,12 @@ using namespace dynsum::clients;
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
   workload::GenOptions GO;
-  GO.Scale = CL.getDouble("scale", 0.02);
+  bool Bad = false;
+  GO.Scale = CL.getDouble("scale", 0.02, Bad);
+  if (Bad) {
+    errs() << "usage: " << argv[0] << " [--scale=X] [--bench=name]\n";
+    return 2;
+  }
   std::string Bench = CL.getString("bench", "bloat");
 
   std::unique_ptr<ir::Program> Prog =

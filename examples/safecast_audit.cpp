@@ -26,7 +26,12 @@ int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
   std::string Bench = CL.getString("bench", "soot-c");
   workload::GenOptions GO;
-  GO.Scale = CL.getDouble("scale", 0.02);
+  bool Bad = false;
+  GO.Scale = CL.getDouble("scale", 0.02, Bad);
+  if (Bad) {
+    errs() << "usage: " << argv[0] << " [--bench=name] [--scale=X]\n";
+    return 2;
+  }
 
   outs() << "Generating '" << Bench << "' at scale " << GO.Scale << "...\n";
   std::unique_ptr<ir::Program> Prog =

@@ -10,6 +10,7 @@
 #include "support/OStream.h"
 #include "support/StringExtras.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <string_view>
 
@@ -50,13 +51,6 @@ std::string CommandLine::getString(const std::string &Name,
   return It == Flags.end() ? Default : It->second;
 }
 
-int64_t CommandLine::getInt(const std::string &Name, int64_t Default) const {
-  auto It = Flags.find(Name);
-  if (It == Flags.end() || It->second.empty())
-    return Default;
-  return std::strtoll(It->second.c_str(), nullptr, 10);
-}
-
 uint64_t CommandLine::getCount(const std::string &Name, uint64_t Default,
                                uint64_t Max, bool &Bad) const {
   auto It = Flags.find(Name);
@@ -76,9 +70,17 @@ uint64_t CommandLine::getCount(const std::string &Name, uint64_t Default,
   return V;
 }
 
-double CommandLine::getDouble(const std::string &Name, double Default) const {
+double CommandLine::getDouble(const std::string &Name, double Default,
+                              bool &Bad) const {
   auto It = Flags.find(Name);
   if (It == Flags.end() || It->second.empty())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  char *End = nullptr;
+  double V = std::strtod(It->second.c_str(), &End);
+  if (*End != '\0' || !std::isfinite(V)) {
+    errs() << "error: --" << Name << " wants a finite number\n";
+    Bad = true;
+    return Default;
+  }
+  return V;
 }

@@ -26,9 +26,6 @@ public:
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
 
-  /// Returns flag \p Name parsed as an integer, or \p Default.
-  int64_t getInt(const std::string &Name, int64_t Default) const;
-
   /// Returns flag \p Name as a count, or \p Default when the flag is
   /// absent or has an empty value.  The value must be decimal digits
   /// only, at most \p Max.  Anything else ("abc", "4x", "-1", a value
@@ -37,8 +34,11 @@ public:
   uint64_t getCount(const std::string &Name, uint64_t Default, uint64_t Max,
                     bool &Bad) const;
 
-  /// Returns flag \p Name parsed as a double, or \p Default.
-  double getDouble(const std::string &Name, double Default) const;
+  /// Returns flag \p Name as a number, or \p Default when the flag is
+  /// absent or has an empty value.  The whole value must parse as a
+  /// finite number; anything else ("abc", "0.5x", "nan") prints an
+  /// error naming the flag, sets \p Bad and returns \p Default.
+  double getDouble(const std::string &Name, double Default, bool &Bad) const;
 
   /// True when "--name" or "--name=..." was present.
   bool has(const std::string &Name) const { return Flags.count(Name) != 0; }

@@ -399,10 +399,12 @@ TEST(CommandLineTest, ParsesFlagsAndPositionals) {
   const char *Argv[] = {"prog", "--scale=0.5", "--verbose", "input.ir",
                         "--n=42"};
   CommandLine CL(5, Argv);
-  EXPECT_DOUBLE_EQ(CL.getDouble("scale", 1.0), 0.5);
+  bool Bad = false;
+  EXPECT_DOUBLE_EQ(CL.getDouble("scale", 1.0, Bad), 0.5);
   EXPECT_TRUE(CL.has("verbose"));
-  EXPECT_EQ(CL.getInt("n", 0), 42);
-  EXPECT_EQ(CL.getInt("missing", 9), 9);
+  EXPECT_EQ(CL.getCount("n", 0, 100, Bad), 42u);
+  EXPECT_EQ(CL.getCount("missing", 9, 100, Bad), 9u);
+  EXPECT_FALSE(Bad);
   ASSERT_EQ(CL.positional().size(), 1u);
   EXPECT_EQ(CL.positional()[0], "input.ir");
 }
@@ -444,6 +446,28 @@ TEST(CommandLineTest, CountsAcceptOnlyDigitsInRange) {
   Bad = false;
   countOf("7", 0, Bad);
   EXPECT_TRUE(Bad) << "7 is past a maximum of 0";
+}
+
+/// getDouble("x", 0.25, Bad) over the command line "prog --x=<Value>".
+static double doubleOf(const std::string &Value, bool &Bad) {
+  std::string Arg = "--x=" + Value;
+  const char *Argv[] = {"prog", Arg.c_str()};
+  return CommandLine(2, Argv).getDouble("x", 0.25, Bad);
+}
+
+TEST(CommandLineTest, NumbersMustParseWhole) {
+  bool Bad = false;
+  EXPECT_DOUBLE_EQ(doubleOf("0.5", Bad), 0.5);
+  EXPECT_DOUBLE_EQ(doubleOf("2", Bad), 2.0);
+  EXPECT_DOUBLE_EQ(doubleOf("1e-3", Bad), 0.001);
+  EXPECT_DOUBLE_EQ(doubleOf("", Bad), 0.25)
+      << "an empty value reads the default";
+  EXPECT_FALSE(Bad);
+  for (const char *Value : {"abc", "0.5x", "nan", "inf", "1e999"}) {
+    Bad = false;
+    EXPECT_DOUBLE_EQ(doubleOf(Value, Bad), 0.25) << "--x=" << Value;
+    EXPECT_TRUE(Bad) << "--x=" << Value;
+  }
 }
 
 TEST(HashingTest, PackPairIsInjectiveOnHalves) {
