@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Loopback smoke for dynsum_serverd: check that bad or out-of-range numeric
-# flags exit 2 without listening, start the server with two tenants,
+# Loopback smoke for dynsum_serverd: check that unknown flags and bad or
+# out-of-range numeric flags exit 2 without listening, start the server
+# with two tenants,
 # drive both through edit/query/commit over real sockets (asserting
 # per-tenant isolation, the one-error overflow contract and the refused
 # save verb on the way), SIGTERM it mid-run, and assert the graceful
@@ -95,13 +96,13 @@ drive() { # drive <port>
   python3 "$WORK/drive.py" "$1"
 }
 
-# --- Bad numeric flags: usage error, never wrapped, clamped or cut short
-# (a wrapped --port=70000 would listen on 4464; a clamped
+# --- Bad flags: usage error, never wrapped, clamped, cut short or
+# ignored (a wrapped --port=70000 would listen on 4464; a clamped
 # --max-connections=-1 would mean "unlimited"; --threads=abc would read
-# 0, one shard per hardware thread).  The timeout only bounds a server
-# that wrongly starts.
+# 0, one shard per hardware thread; a misspelled --thread=2 would run at
+# the default).  The timeout only bounds a server that wrongly starts.
 for FLAG in --port=70000 --max-connections=-1 --threads=abc \
-    --commit-threads=4x; do
+    --commit-threads=4x --store-stripes=4 --thread=2; do
   rm -f "$WORK/port"
   timeout 10 "$SERVERD" --tenant=alpha="$IR" "$FLAG" \
     --port-file="$WORK/port" >"$WORK/server.log" 2>&1

@@ -15,8 +15,9 @@
 /// (dead edge slots + relocation holes) above half the live size
 /// triggers a compacting full pack.
 ///
-/// Both paths also write the call-site views of the Entry in-buckets and
-/// Exit out-buckets, from the buckets they have just packed.
+/// Both paths leave each Entry in-bucket and Exit out-bucket in (call
+/// site, position in the bucket) order: the full pack sorts the buckets
+/// it has just scattered, the delta path each bucket it has gathered.
 ///
 /// All persistent storage is copy-on-write chunked (see PAG.h): serial
 /// mutation goes through the CoW accessors, and each parallel write
@@ -39,8 +40,8 @@
 using namespace dynsum;
 using namespace dynsum::pag;
 
-/// The call kind whose bucket a direction's call-site view re-sorts.
-static EdgeKind siteViewKind(bool In) {
+/// The call kind whose buckets a direction keeps in call-site order.
+static EdgeKind callKind(bool In) {
   return In ? EdgeKind::Entry : EdgeKind::Exit;
 }
 
@@ -203,9 +204,10 @@ void PAG::packDirection(bool In) {
   // Counting sort of edge ids into (node, kind) buckets: one counting
   // pass, one placement-assignment pass, one scatter pass.  The
   // scatter iterates edges in id order, so each bucket keeps edge-id
-  // (i.e. insertion) order — full rebuilds are bit-for-bit
-  // deterministic.  Placement goes through placeRegion so no node's
-  // region straddles a chunk boundary (pads to the next chunk instead).
+  // (i.e. insertion) order, and a last pass stably sorts each call
+  // bucket by site — full rebuilds are bit-for-bit deterministic.
+  // Placement goes through placeRegion so no node's region straddles a
+  // chunk boundary (pads to the next chunk instead).
   std::vector<uint32_t> Count(Nodes.size() * kNumEdgeKinds, 0);
   for (EdgeId Id = 0; Id < Edges.size(); ++Id) {
     const Edge &E = Edges[Id];
@@ -234,48 +236,26 @@ void PAG::packDirection(bool In) {
                       unsigned(E.Kind)]++) = Id;
   }
 
-  FlatTable &Site = In ? InSiteFlat : OutSiteFlat;
-  OffsetTable &SiteOff = In ? InSiteOff : OutSiteOff;
-  unsigned CK = unsigned(siteViewKind(In));
-  Site.reset();
-  SiteOff.assign(Nodes.size(), 0);
-  std::vector<uint64_t> Keys;
-  for (size_t N = 0; N < Nodes.size(); ++N) {
-    uint32_t Calls = Count[N * kNumEdgeKinds + CK];
-    if (Calls == 0)
-      continue;
-    uint32_t Begin = uint32_t(Site.placeRegion(Calls));
-    SiteOff.rawAt(N) = Begin;
-    sortBySite(Flat.addr(Off[N * kOffsetStride + CK]), Calls,
-               Site.regionPtr(Begin), Keys);
-  }
+  unsigned CK = unsigned(callKind(In));
+  for (size_t N = 0; N < Nodes.size(); ++N)
+    if (uint32_t Calls = Count[N * kNumEdgeKinds + CK])
+      sortBySite(Flat.regionPtr(Off[N * kOffsetStride + CK]), Calls);
 }
 
-void PAG::sortBySite(const EdgeId *Bucket, size_t Count, EdgeId *View,
-                     std::vector<uint64_t> &Keys) const {
+void PAG::sortBySite(EdgeId *Bucket, size_t Count) const {
   // Lowering visits callers in method order, and call-site ids follow
-  // it, so most buckets are in site order already.
-  size_t Sorted = 1;
-  while (Sorted < Count &&
-         Edges[Bucket[Sorted - 1]].Aux <= Edges[Bucket[Sorted]].Aux)
-    ++Sorted;
-  if (Sorted >= Count) {
-    std::copy(Bucket, Bucket + Count, View);
-    return;
-  }
-  Keys.resize(Count);
-  for (size_t I = 0; I < Count; ++I)
-    Keys[I] = (uint64_t(Edges[Bucket[I]].Aux) << 32) | I;
-  std::sort(Keys.begin(), Keys.end());
-  for (size_t I = 0; I < Count; ++I)
-    View[I] = Bucket[uint32_t(Keys[I])];
+  // it, so most buckets are in site order already; re-lowered edges
+  // appended by a delta repack and call sites added by edits break it.
+  auto BySite = [this](EdgeId A, EdgeId B) {
+    return Edges[A].Aux < Edges[B].Aux;
+  };
+  if (!std::is_sorted(Bucket, Bucket + Count, BySite))
+    std::stable_sort(Bucket, Bucket + Count, BySite);
 }
 
 void PAG::ensureOffsetCoverage() {
   InOff.resize(Nodes.size() * kOffsetStride, 0);
   OutOff.resize(Nodes.size() * kOffsetStride, 0);
-  InSiteOff.resize(Nodes.size(), 0);
-  OutSiteOff.resize(Nodes.size(), 0);
   FieldStoreOff.resize(Prog.fields().size() * 2, 0);
   FieldLoadOff.resize(Prog.fields().size() * 2, 0);
 }
@@ -352,7 +332,7 @@ void PAG::finalize() {
       Nodes.mutableAt(E.Src).ContextFreeExitOut = true;
   }
 
-  FlatHoles = FieldHoles = SiteHoles = 0;
+  FlatHoles = FieldHoles = 0;
   PendingDead.clear();
   PendingDeadMeta.clear();
   PendingNew.clear();
@@ -447,19 +427,17 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
   //                        disjoint, exclusively owned destination
   //                        ranges and write the offset entries raw.
   //
-  // The call-site view rides along: the place pass sizes it from the
-  // old and new call bucket, the scatter sorts the new bucket into it.
+  // The gather also puts each node's call bucket back in site order:
+  // a re-lowered caller's edge appends after the survivors.
   size_t NumAffected = AffectedNodes.size();
   std::vector<std::vector<EdgeId>> Regions(NumAffected);
   std::vector<uint32_t> Bounds(NumAffected * kOffsetStride);
-  std::vector<uint32_t> Begins(NumAffected), SiteBegins(NumAffected);
+  std::vector<uint32_t> Begins(NumAffected);
 
   auto RebuildDirection = [&](bool In) {
     FlatTable &Flat = In ? InFlat : OutFlat;
     OffsetTable &Off = In ? InOff : OutOff;
-    FlatTable &Site = In ? InSiteFlat : OutSiteFlat;
-    OffsetTable &SiteOff = In ? InSiteOff : OutSiteOff;
-    unsigned CK = unsigned(siteViewKind(In));
+    unsigned CK = unsigned(callKind(In));
     const BucketAdds &Adds = In ? InAdds : OutAdds;
 
     parallelChunks(NumAffected, Threads,
@@ -483,6 +461,10 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
                            }
                          }
                          Adds.appendTo(N, EdgeKind(K), Region);
+                         if (K == CK) {
+                           uint32_t B = Bounds[I * kOffsetStride + K];
+                           sortBySite(Region.data() + B, Region.size() - B);
+                         }
                        }
                        Bounds[I * kOffsetStride + kNumEdgeKinds] =
                            uint32_t(Region.size());
@@ -502,41 +484,22 @@ void PAG::repackNodes(const std::vector<NodeId> &AffectedNodes,
         Begins[I] = uint32_t(Flat.placeRegion(Regions[I].size()));
         FlatHoles += OldSize;
       }
-      size_t OldCalls = Off[Base + CK + 1] - Off[Base + CK];
-      size_t NewCalls = Bounds[I * kOffsetStride + CK + 1] -
-                        Bounds[I * kOffsetStride + CK];
-      if (NewCalls <= OldCalls) {
-        SiteBegins[I] = SiteOff[AffectedNodes[I]];
-        SiteHoles += OldCalls - NewCalls;
-        if (NewCalls != 0)
-          Site.ensureUniqueRegion(SiteBegins[I]);
-      } else {
-        SiteBegins[I] = uint32_t(Site.placeRegion(NewCalls));
-        SiteHoles += OldCalls;
-      }
       // A node's eight offsets share a chunk (stride divides the chunk
       // size); uniquify it here so the scatter may write raw.
       Off.ensureWritable(Base);
-      SiteOff.ensureWritable(AffectedNodes[I]);
     }
 
     parallelChunks(NumAffected, Threads,
                    [&](size_t ChunkBegin, size_t ChunkEnd, unsigned) {
-                     std::vector<uint64_t> Keys;
                      for (size_t I = ChunkBegin; I < ChunkEnd; ++I) {
-                       NodeId N = AffectedNodes[I];
-                       size_t Base = size_t(N) * kOffsetStride;
-                       const uint32_t *B = &Bounds[I * kOffsetStride];
+                       size_t Base =
+                           size_t(AffectedNodes[I]) * kOffsetStride;
                        if (!Regions[I].empty())
                          std::copy(Regions[I].begin(), Regions[I].end(),
                                    Flat.regionPtr(Begins[I]));
                        for (unsigned K = 0; K < kOffsetStride; ++K)
-                         Off.rawAt(Base + K) = Begins[I] + B[K];
-                       if (B[CK + 1] != B[CK])
-                         sortBySite(Regions[I].data() + B[CK],
-                                    B[CK + 1] - B[CK],
-                                    Site.regionPtr(SiteBegins[I]), Keys);
-                       SiteOff.rawAt(N) = SiteBegins[I];
+                         Off.rawAt(Base + K) =
+                             Begins[I] + Bounds[I * kOffsetStride + K];
                      }
                    });
   };
@@ -735,30 +698,19 @@ EdgeSpan PAG::loadsOfField(ir::FieldId F) const {
   return spanOf(FieldLoadFlat, FieldLoadOff, F * 2, F * 2 + 1);
 }
 
-EdgeSpan PAG::callEdgesBySite(NodeId N, EdgeKind K) const {
-  assert((K == EdgeKind::Entry || K == EdgeKind::Exit) &&
-         "call-site views cover Entry in-buckets and Exit out-buckets");
-  bool In = K == EdgeKind::Entry;
-  size_t Base = size_t(N) * kOffsetStride + unsigned(K);
-  const OffsetTable &Off = In ? InOff : OutOff;
-  uint32_t Count = Off[Base + 1] - Off[Base];
-  if (Count == 0)
-    return EdgeSpan();
-  const EdgeId *P = In ? InSiteFlat.addr(InSiteOff[N])
-                       : OutSiteFlat.addr(OutSiteOff[N]);
-  return EdgeSpan(P, P + Count);
-}
-
 EdgeSpan PAG::callEdgesAtSite(NodeId N, EdgeKind K,
                               ir::CallSiteId Site) const {
-  EdgeSpan View = callEdgesBySite(N, K);
+  assert((K == EdgeKind::Entry || K == EdgeKind::Exit) &&
+         "only Entry in-buckets and Exit out-buckets are in site order");
+  EdgeSpan Bucket = K == EdgeKind::Entry ? inEdgesOfKind(N, K)
+                                         : outEdgesOfKind(N, K);
   const EdgeId *Lo = std::lower_bound(
-      View.begin(), View.end(), Site,
+      Bucket.begin(), Bucket.end(), Site,
       [this](EdgeId E, ir::CallSiteId S) { return Edges[E].Aux < S; });
   // A call site feeds a formal (or a receiver) through one edge, so
   // the run is short: walk it rather than search again.
   const EdgeId *Hi = Lo;
-  while (Hi != View.end() && Edges[*Hi].Aux == Site)
+  while (Hi != Bucket.end() && Edges[*Hi].Aux == Site)
     ++Hi;
   return EdgeSpan(Lo, Hi);
 }
@@ -811,10 +763,6 @@ PAGMemoryStats PAG::memoryStats() const {
   C += FieldLoadFlat.memory();
   C += FieldStoreOff.memory();
   C += FieldLoadOff.memory();
-  C += InSiteFlat.memory();
-  C += OutSiteFlat.memory();
-  C += InSiteOff.memory();
-  C += OutSiteOff.memory();
   C += VarToNode.memory();
   C += AllocToNode.memory();
   C += BuiltBodyFp.memory();

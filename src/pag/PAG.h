@@ -46,12 +46,11 @@
 /// The whole-node views (inEdges/outEdges) remain as spans over the
 /// same arrays for callers that still want every kind.
 ///
-/// Call-site views: each node's Entry in-bucket and Exit out-bucket is
-/// also stored re-sorted by (call site, position in the bucket), on the
-/// same chunked region scheme, so Algorithm 4 finds the edges that pop
-/// a context's top site by binary search (callEdgesAtSite) instead of
-/// scanning every caller.  The buckets themselves keep their order: the
-/// empty-context rule still pushes every caller in bucket order.
+/// Call buckets: each node's Entry in-bucket and Exit out-bucket is kept
+/// in (call site, position in the bucket) order by both packing paths,
+/// so Algorithm 4 finds the edges that pop a context's top site by
+/// binary search (callEdgesAtSite) instead of scanning every caller.
+/// The empty-context rule scans the same bucket in that order.
 ///
 /// Generation storage: every persistent member lives on copy-on-write
 /// chunk tables (support/ChunkedStorage.h).  Copying a PAG copies the
@@ -318,13 +317,9 @@ public:
     return spanOf(OutFlat, OutOff, Base, Base + 1);
   }
 
-  /// The call-site view of \p N's Entry in-bucket (\p K = Entry) or Exit
-  /// out-bucket (\p K = Exit): the bucket's edge ids sorted by (call
-  /// site, position in the bucket).
-  EdgeSpan callEdgesBySite(NodeId N, EdgeKind K) const;
-
-  /// The edges of that bucket at call site \p Site, in bucket order:
-  /// O(log fan-in) over the call-site view.
+  /// The edges of \p N's Entry in-bucket (\p K = Entry) or Exit
+  /// out-bucket (\p K = Exit) at call site \p Site, in bucket order:
+  /// O(log fan-in), as those buckets are in call-site order.
   EdgeSpan callEdgesAtSite(NodeId N, EdgeKind K, ir::CallSiteId Site) const;
 
   /// All store edges labelled with \p F (REFINEPTS match-edge lookup).
@@ -394,7 +389,7 @@ public:
   /// padding in the flat arrays is NOT slack (a compaction would
   /// re-pad), so it never triggers one.
   size_t deadEdgeSlots() const { return Edges.size() - NumAliveEdges; }
-  size_t csrHoleSlots() const { return FlatHoles + FieldHoles + SiteHoles; }
+  size_t csrHoleSlots() const { return FlatHoles + FieldHoles; }
   bool lastRepackCompacted() const { return LastRepackCompacted; }
 
   /// The (sorted, deduped) nodes whose CSR regions — and therefore
@@ -444,19 +439,16 @@ private:
   /// Renumbers edge slots densely, dropping dead ones (stable order).
   void compactEdgeSlots();
 
-  /// Full counting-sort pack of one direction's CSR, call-site view
-  /// included.
+  /// Full counting-sort pack of one direction's CSR, its call buckets
+  /// put in site order.
   void packDirection(bool In);
 
-  /// Writes the \p Count edge ids at \p Bucket to \p View in (call
-  /// site, position in the bucket) order.  \p Keys is caller-owned
-  /// scratch, so packing allocates nothing per node.
-  void sortBySite(const EdgeId *Bucket, size_t Count, EdgeId *View,
-                  std::vector<uint64_t> &Keys) const;
+  /// Puts the \p Count edge ids at \p Bucket in (call site, position in
+  /// the bucket) order, in place.
+  void sortBySite(EdgeId *Bucket, size_t Count) const;
 
-  /// Rewrites the CSR regions and call-site views of \p AffectedNodes
-  /// (sorted, unique) in both directions, appending grown regions at
-  /// the array tails.
+  /// Rewrites the CSR regions of \p AffectedNodes (sorted, unique) in
+  /// both directions, appending grown regions at the array tails.
   /// \p Freed marks the slots freed this round (shared with
   /// repackFields so the O(slots) bitmap is built once per repack).
   /// Tasks repack disjoint node ranges; see finalizeDelta(Threads).
@@ -491,7 +483,8 @@ private:
 
   /// CSR payloads: every live edge id once per direction, grouped by
   /// (node, kind); within a group, survivors keep their relative order
-  /// and re-lowered edges append in emission order.
+  /// and re-lowered edges append in emission order; an Entry in-bucket
+  /// or Exit out-bucket is then stably sorted by call site.
   FlatTable InFlat, OutFlat;
   /// CSR offsets, numNodes * kOffsetStride entries.  Node N's kind-K
   /// bucket is [Off[N*8 + K], Off[N*8 + K + 1]); its whole region is
@@ -501,15 +494,6 @@ private:
   OffsetTable InOff, OutOff;
   /// Elements of InFlat/OutFlat occupied by relocation holes.
   size_t FlatHoles = 0;
-
-  /// Call-site views: node N's Entry in-bucket re-sorted by (call site,
-  /// position) sits at InSiteFlat[InSiteOff[N]], its Exit out-bucket's
-  /// at OutSiteFlat[OutSiteOff[N]].  A view is as long as its bucket,
-  /// so one begin offset per node suffices; regions relocate like the
-  /// buckets' and never straddle a chunk.
-  FlatTable InSiteFlat, OutSiteFlat;
-  OffsetTable InSiteOff, OutSiteOff;
-  size_t SiteHoles = 0;
 
   /// Field-indexed CSR over store/load edges: per-field [begin, end)
   /// pairs (2 entries per field), same relocation scheme.

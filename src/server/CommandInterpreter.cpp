@@ -404,7 +404,7 @@ CommandStatus CommandInterpreter::runStats(OStream &Out) {
       << SS.Store.Publishes << " published (" << SS.Store.StalePublishes
       << " stale), " << SS.Store.Invalidated << " invalidated, "
       << SS.Store.LockContended << " contended locks, "
-      << uint64_t(SS.StoreStripes.size()) << " stripes\n";
+      << SS.StoreStripes << " stripes\n";
   if (SS.DiskTierAttached || SS.Store.DiskProbes > 0)
     Out << "disk tier: " << (SS.DiskTierAttached ? "attached" : "detached")
         << ", " << SS.Store.DiskHits << "/" << SS.Store.DiskProbes

@@ -119,7 +119,6 @@ bool AnalysisServer::addTenant(const std::string &Name,
   SO.Engine.Analysis = Opts.Analysis;
   SO.Commit = Opts.CommitThreads;
   SO.KeepGenerations = Opts.KeepGenerations;
-  SO.StoreStripes = Opts.StoreStripes;
   SO.Overload = Opts.Overload;
   if (!Opts.SnapshotDir.empty()) {
     std::string Snapshot = Opts.SnapshotDir + "/" + Name + ".dsum";

@@ -74,8 +74,6 @@ struct ServerOptions {
   unsigned CommitThreads = 1;
   /// Per-tenant retained-generation count (rollback window).
   unsigned KeepGenerations = 0;
-  /// Per-tenant summary-store stripe count (0 = store default).
-  unsigned StoreStripes = 0;
   /// Per-tenant load-shedding watermarks (defaults disable shedding).
   service::OverloadPolicy Overload;
   /// When nonempty, each tenant snapshots to <SnapshotDir>/<name>.dsum

@@ -53,8 +53,7 @@ uint64_t CommitTicket::generation() const {
 
 AnalysisService::AnalysisService(std::unique_ptr<ir::Program> P,
                                  ServiceOptions Opts)
-    : Opts(std::move(Opts)), Prog(std::move(P)),
-      Store(this->Opts.StoreStripes) {
+    : Opts(std::move(Opts)), Prog(std::move(P)) {
   publish(buildFirstGeneration()); // generation 0, store is empty
   CommittedClock = Prog->modClock();
   // Warm restart: attach the previous run's shutdown snapshot as the
@@ -659,9 +658,7 @@ ServiceStats AnalysisService::stats() const {
   S.Shedding = SheddingState.load(std::memory_order_relaxed);
   S.Store = Store.counters();
   S.DiskTierAttached = Store.hasDiskTier();
-  S.StoreStripes.reserve(Store.numStripes());
-  for (unsigned I = 0; I < Store.numStripes(); ++I)
-    S.StoreStripes.push_back(Store.stripeCounters(I));
+  S.StoreStripes = Store.numStripes();
   {
     std::lock_guard<std::mutex> Lock(GenMutex);
     S.RetainedGenerations = History.size();

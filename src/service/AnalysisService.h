@@ -179,10 +179,6 @@ struct ServiceOptions {
   /// Point it at the previous run's SnapshotOnShutdownPath for the
   /// classic warm-restart loop.
   std::string WarmFromDiskPath;
-  /// Lock-stripe count for the summary store's hot tier (rounded up to
-  /// a power of two; 0 = the store default).  More stripes spread
-  /// concurrent fetch/publish traffic across independent locks.
-  unsigned StoreStripes = 0;
 };
 
 /// Outcomes of one service batch plus the generation they were answered
@@ -313,10 +309,8 @@ struct ServiceStats {
   /// Whether the store currently has a disk tier attached (false after
   /// a rollback detached it).
   bool DiskTierAttached = false;
-  /// Per-stripe counters of the hot tier, stripe 0 first — the bench's
-  /// contention columns.  Aggregate file-level counters (DiskCorrupt)
-  /// appear only in Store above.
-  std::vector<engine::StoreCounters> StoreStripes;
+  /// Lock-stripe count of the store's hot tier.
+  unsigned StoreStripes = 0;
 };
 
 /// The concurrent incremental analysis server.
@@ -558,8 +552,8 @@ private:
   uint64_t CachedBoundaryGen = kNoBoundaryGen;
 
   /// The cross-generation summary store; generations are the store's.
-  /// Striped per Opts.StoreStripes; the constructor may attach a
-  /// memory-mapped disk tier (Opts.WarmFromDiskPath).
+  /// The constructor may attach a memory-mapped disk tier
+  /// (Opts.WarmFromDiskPath).
   engine::SharedSummaryStore Store;
 
   /// Guards the Current pointer swap/copy and the history ring.

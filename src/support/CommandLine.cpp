@@ -10,9 +10,9 @@
 #include "support/OStream.h"
 #include "support/StringExtras.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <string_view>
 
 using namespace dynsum;
 
@@ -42,6 +42,18 @@ std::vector<std::string> CommandLine::getAll(const std::string &Name) const {
   for (const auto &[Flag, Value] : Ordered)
     if (Flag == Name)
       Out.push_back(Value);
+  return Out;
+}
+
+std::vector<std::string> CommandLine::unknownFlags(
+    std::initializer_list<std::string_view> Known) const {
+  std::vector<std::string> Out;
+  for (const auto &Entry : Ordered) {
+    const std::string &Flag = Entry.first;
+    if (std::find(Known.begin(), Known.end(), Flag) == Known.end() &&
+        std::find(Out.begin(), Out.end(), Flag) == Out.end())
+      Out.push_back(Flag);
+  }
   return Out;
 }
 

@@ -9,15 +9,18 @@
 #define DYNSUM_SUPPORT_COMMANDLINE_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dynsum {
 
 /// Parses "--name=value" and bare positional arguments.  Unknown flags
 /// are collected rather than rejected so harnesses can share argv with
-/// other libraries (e.g. google-benchmark).
+/// other libraries (e.g. google-benchmark); a tool that owns its argv
+/// rejects what unknownFlags() lists.
 class CommandLine {
 public:
   CommandLine(int Argc, const char *const *Argv);
@@ -48,6 +51,11 @@ public:
   std::vector<std::string> getAll(const std::string &Name) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
+
+  /// The flags given that are not in \p Known, each once, in
+  /// command-line order.
+  std::vector<std::string>
+  unknownFlags(std::initializer_list<std::string_view> Known) const;
 
 private:
   std::map<std::string, std::string> Flags;

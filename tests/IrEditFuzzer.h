@@ -9,9 +9,10 @@
 /// locals and whole new methods) over a well-typed program, keeping it
 /// validator-clean; the checkers assert that an incrementally evolved
 /// PAG is isomorphic to a cold scratch build — node flags per IR
-/// entity, live edge multiset under canonical node naming, and the CSR
-/// structural invariants (call-site views included) that must hold
-/// through holes and slot reuse.
+/// entity, each variable's call buckets in order, live edge multiset
+/// under canonical node naming, and the CSR structural invariants (call
+/// buckets in site order included) that must hold through holes and
+/// slot reuse.
 ///
 /// Used by tests/delta_build_test.cpp (serial delta vs scratch) and
 /// tests/parallel_commit_test.cpp (sharded delta + async service
@@ -227,37 +228,29 @@ inline std::vector<EdgeKey> liveEdgeKeys(const pag::PAG &G) {
   return Keys;
 }
 
-/// Each node's call-site views hold exactly its Entry in-bucket and Exit
-/// out-bucket, in (call site, position in the bucket) order; each
-/// per-site lookup returns that site's run in bucket order; and the
-/// ContextFree flags match the buckets.
-inline void checkCallSiteViews(const pag::PAG &G) {
+/// Each node's Entry in-bucket and Exit out-bucket is in call-site
+/// order; each per-site lookup returns that site's run of the bucket;
+/// and the ContextFree flags match the buckets.
+inline void checkCallBuckets(const pag::PAG &G) {
   for (pag::NodeId N = 0; N < G.numNodes(); ++N) {
     for (bool In : {true, false}) {
       pag::EdgeKind K = In ? pag::EdgeKind::Entry : pag::EdgeKind::Exit;
       pag::EdgeSpan Bucket =
           In ? G.inEdgesOfKind(N, K) : G.outEdgesOfKind(N, K);
-      std::vector<std::pair<uint32_t, size_t>> Order; // (site, position)
       bool ContextFree = false;
-      for (size_t I = 0; I < Bucket.size(); ++I) {
-        Order.emplace_back(G.edge(Bucket[I]).Aux, I);
-        ContextFree |= G.edge(Bucket[I]).ContextFree;
-      }
-      std::sort(Order.begin(), Order.end());
-
-      pag::EdgeSpan View = G.callEdgesBySite(N, K);
-      ASSERT_EQ(View.size(), Bucket.size()) << "node " << N;
-      for (size_t I = 0; I < View.size(); ++I)
-        ASSERT_EQ(View[I], Bucket[Order[I].second])
-            << "node " << N << ", view slot " << I;
-      for (size_t I = 0; I < Order.size();) {
+      for (pag::EdgeId E : Bucket)
+        ContextFree |= G.edge(E).ContextFree;
+      for (size_t I = 1; I < Bucket.size(); ++I)
+        ASSERT_LE(G.edge(Bucket[I - 1]).Aux, G.edge(Bucket[I]).Aux)
+            << "node " << N << ", bucket slot " << I;
+      for (size_t I = 0; I < Bucket.size();) {
         size_t End = I;
-        while (End < Order.size() && Order[End].first == Order[I].first)
+        while (End < Bucket.size() &&
+               G.edge(Bucket[End]).Aux == G.edge(Bucket[I]).Aux)
           ++End;
-        pag::EdgeSpan At = G.callEdgesAtSite(N, K, Order[I].first);
-        ASSERT_EQ(At.size(), End - I) << "node " << N;
-        for (size_t X = 0; X < At.size(); ++X)
-          ASSERT_EQ(At[X], Bucket[Order[I + X].second]) << "node " << N;
+        pag::EdgeSpan At = G.callEdgesAtSite(N, K, G.edge(Bucket[I]).Aux);
+        ASSERT_EQ(At.begin(), Bucket.begin() + I) << "node " << N;
+        ASSERT_EQ(At.end(), Bucket.begin() + End) << "node " << N;
         I = End;
       }
       EXPECT_TRUE(G.callEdgesAtSite(N, K, ir::kNone).empty());
@@ -337,12 +330,27 @@ inline void checkCsrInvariants(const pag::PAG &G) {
     }
   }
 
-  checkCallSiteViews(G);
+  checkCallBuckets(G);
+}
+
+/// \p N's Entry in-bucket (\p In) or Exit out-bucket as (call site,
+/// canonical far endpoint) pairs, in bucket order.
+inline std::vector<std::pair<uint32_t, uint64_t>>
+callBucketKeys(const pag::PAG &G, pag::NodeId N, bool In) {
+  std::vector<std::pair<uint32_t, uint64_t>> Keys;
+  pag::EdgeSpan Bucket = In ? G.inEdgesOfKind(N, pag::EdgeKind::Entry)
+                            : G.outEdgesOfKind(N, pag::EdgeKind::Exit);
+  for (pag::EdgeId E : Bucket) {
+    const pag::Edge &Ed = G.edge(E);
+    Keys.emplace_back(Ed.Aux, canonicalNode(G, In ? Ed.Src : Ed.Dst));
+  }
+  return Keys;
 }
 
 /// Full isomorphism of the incrementally evolved \p Delta against a
-/// cold \p Cold of the same program: flags per IR entity, live edge
-/// multiset under canonical node naming.
+/// cold \p Cold of the same program: flags per IR entity, each
+/// variable's call buckets in order, live edge multiset under canonical
+/// node naming.
 inline void checkIsomorphic(const pag::PAG &Delta, const pag::PAG &Cold) {
   const ir::Program &P = Delta.program();
   ASSERT_EQ(Delta.numNodes(), Cold.numNodes());
@@ -359,6 +367,11 @@ inline void checkIsomorphic(const pag::PAG &Delta, const pag::PAG &Cold) {
         << P.describeVar(V.Id);
     EXPECT_EQ(D.ContextFreeExitOut, C.ContextFreeExitOut)
         << P.describeVar(V.Id);
+    for (bool In : {true, false})
+      EXPECT_EQ(callBucketKeys(Delta, Delta.nodeOfVar(V.Id), In),
+                callBucketKeys(Cold, Cold.nodeOfVar(V.Id), In))
+          << (In ? "entry in-bucket of " : "exit out-bucket of ")
+          << P.describeVar(V.Id);
   }
   for (const ir::AllocSite &A : P.allocs()) {
     const pag::Node &D = Delta.node(Delta.nodeOfAlloc(A.Id));

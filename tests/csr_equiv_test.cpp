@@ -247,7 +247,7 @@ void expectCsrInvariants(const pag::PAG &G) {
     EXPECT_EQ(InSeen[E], Want) << "edge " << E;
     EXPECT_EQ(OutSeen[E], Want) << "edge " << E;
   }
-  dynsum::testing::checkCallSiteViews(G);
+  dynsum::testing::checkCallBuckets(G);
 }
 
 /// Appends \p Count alloc+assign pairs to \p M, each assigning into

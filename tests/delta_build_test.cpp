@@ -8,9 +8,9 @@
 /// (new allocations, assigns, loads/stores, direct calls, statement
 /// removals, fresh locals and whole new methods).  After every round
 /// the delta-patched graph must be isomorphic to a cold buildPAG of the
-/// same program: identical node flags, identical live edge multiset
-/// (modulo slot numbering), clean CSR invariants despite holes and slot
-/// reuse, and identical DYNSUM answers.  A warm AnalysisService absorbs
+/// same program: identical node flags and call buckets, identical live
+/// edge multiset (modulo slot numbering), clean CSR invariants despite
+/// holes and slot reuse, and identical DYNSUM answers.  A warm AnalysisService absorbs
 /// fuzzed rounds through editProgram and foreground commits, and must
 /// stay warm-equal to cold throughout.
 ///
@@ -75,8 +75,10 @@ TEST_P(DeltaFuzzTest, DeltaBuildsStayIsomorphicToScratchAcrossEditRounds) {
     // Budget-exhausted queries are skipped: their partial answers
     // depend on traversal order, and the delta CSR legitimately orders
     // buckets differently (survivors first, re-lowered edges appended)
-    // than a scratch build's edge-id order.  Completed queries are
-    // closures and must match exactly.
+    // than a scratch build's edge-id order — every bucket except the
+    // Entry in-buckets and Exit out-buckets, which both keep in
+    // call-site order (checkIsomorphic compares them).  Completed
+    // queries are closures and must match exactly.
     analysis::DynSumAnalysis DeltaA(Delta, AnalysisOptions());
     analysis::DynSumAnalysis ColdA(*Cold.Graph, AnalysisOptions());
     std::vector<ir::VarId> Sample = sampleVars(P, 7);

@@ -63,8 +63,9 @@ std::unique_ptr<ir::Program> fuzzProgram(uint64_t Seed) {
 
 /// Asserts \p A and \p B are the same graph bit for bit: same slots,
 /// same payloads, same per-method segments, same CSR span ORDER (not
-/// just multiset), same call-site views and flags — the single-writer
-/// phases make the sharded build reproduce the serial layout exactly.
+/// just multiset) in both directions, same ContextFree flags — the
+/// single-writer phases make the sharded build reproduce the serial
+/// layout exactly.
 void checkBitIdentical(const pag::PAG &A, const pag::PAG &B) {
   ASSERT_EQ(A.numNodes(), B.numNodes());
   ASSERT_EQ(A.numEdgeSlots(), B.numEdgeSlots());
@@ -86,18 +87,16 @@ void checkBitIdentical(const pag::PAG &A, const pag::PAG &B) {
         << "segment of " << A.program().describeMethod(M.Id);
   for (pag::NodeId N = 0; N < A.numNodes(); ++N) {
     for (unsigned K = 0; K < pag::kNumEdgeKinds; ++K) {
-      pag::EdgeSpan SA = A.inEdgesOfKind(N, pag::EdgeKind(K));
-      pag::EdgeSpan SB = B.inEdgesOfKind(N, pag::EdgeKind(K));
-      ASSERT_EQ(SA.size(), SB.size()) << "node " << N << " kind " << K;
-      for (size_t I = 0; I < SA.size(); ++I)
-        ASSERT_EQ(SA[I], SB[I]) << "node " << N << " kind " << K;
-    }
-    for (pag::EdgeKind K : {pag::EdgeKind::Entry, pag::EdgeKind::Exit}) {
-      pag::EdgeSpan VA = A.callEdgesBySite(N, K);
-      pag::EdgeSpan VB = B.callEdgesBySite(N, K);
-      ASSERT_EQ(VA.size(), VB.size()) << "node " << N;
-      for (size_t I = 0; I < VA.size(); ++I)
-        ASSERT_EQ(VA[I], VB[I]) << "node " << N << " view slot " << I;
+      for (bool In : {true, false}) {
+        pag::EdgeKind Kind = pag::EdgeKind(K);
+        pag::EdgeSpan SA =
+            In ? A.inEdgesOfKind(N, Kind) : A.outEdgesOfKind(N, Kind);
+        pag::EdgeSpan SB =
+            In ? B.inEdgesOfKind(N, Kind) : B.outEdgesOfKind(N, Kind);
+        ASSERT_EQ(SA.size(), SB.size()) << "node " << N << " kind " << K;
+        for (size_t I = 0; I < SA.size(); ++I)
+          ASSERT_EQ(SA[I], SB[I]) << "node " << N << " kind " << K;
+      }
     }
     ASSERT_EQ(A.node(N).ContextFreeEntryIn, B.node(N).ContextFreeEntryIn)
         << "node " << N;

@@ -419,6 +419,19 @@ TEST(CommandLineTest, RepeatedFlagsKeepEveryValueInOrder) {
   EXPECT_EQ(CL.getString("query", ""), "a.b.c");
 }
 
+TEST(CommandLineTest, UnknownFlagsListsFlagsOutsideTheKnownSetOnce) {
+  const char *Argv[] = {"prog",         "--querry=a.b.c", "input.ir",
+                        "--query=d.e.f", "--budjet=1",    "--querry=x",
+                        "--stats"};
+  CommandLine CL(7, Argv);
+  EXPECT_EQ(CL.unknownFlags({"query", "budget", "stats"}),
+            (std::vector<std::string>{"querry", "budjet"}));
+  EXPECT_TRUE(CL.unknownFlags({"query", "querry", "budjet", "stats"}).empty());
+  // Unknown flags are still collected, for harnesses that share argv.
+  EXPECT_EQ(CL.getString("querry", ""), "a.b.c");
+  EXPECT_TRUE(CL.has("budjet"));
+}
+
 /// getCount("n", 5, Max, Bad) over the command line "prog --n=<Value>".
 static uint64_t countOf(const std::string &Value, uint64_t Max, bool &Bad) {
   std::string Arg = "--n=" + Value;

@@ -17,14 +17,14 @@
 ///                                         saved on drain, warm-attached
 ///                                         on the next start)
 ///                  [--threads=N] [--commit-threads=N]
-///                  [--keep-generations=N] [--store-stripes=N]
+///                  [--keep-generations=N]
 ///                  [--budget=N] [--max-connections=N]
 ///                  [--max-active-batches=N] [--resume-active-batches=N]
 ///                  [--max-commit-backlog=N]
 ///
-/// A numeric flag that is not all decimal digits, or lies outside its
-/// range (a port above 65535, a count above 2^32-1), is a usage error
-/// (exit 2).
+/// A flag not listed above, or a numeric flag that is not all decimal
+/// digits or lies outside its range (a port above 65535, a count above
+/// 2^32-1), is a usage error (exit 2).
 ///
 /// The server drains gracefully on SIGTERM/SIGINT: it stops accepting,
 /// unblocks and joins every live session, and snapshots every tenant's
@@ -60,9 +60,8 @@ int usage() {
             "[--port-file=path]\n"
             "                      [--snapshot-dir=dir] [--threads=N] "
             "[--commit-threads=N]\n"
-            "                      [--keep-generations=N] "
-            "[--store-stripes=N]\n"
-            "                      [--budget=N] [--max-connections=N]\n"
+            "                      [--keep-generations=N] [--budget=N] "
+            "[--max-connections=N]\n"
             "                      [--max-active-batches=N] "
             "[--resume-active-batches=N]\n"
             "                      [--max-commit-backlog=N]\n";
@@ -71,6 +70,14 @@ int usage() {
 
 int runServerd(int argc, char **argv) {
   CommandLine Args(argc, argv);
+  std::vector<std::string> Unknown = Args.unknownFlags(
+      {"tenant", "port", "port-file", "snapshot-dir", "threads",
+       "commit-threads", "keep-generations", "budget", "max-connections",
+       "max-active-batches", "resume-active-batches", "max-commit-backlog"});
+  for (const std::string &Flag : Unknown)
+    errs() << "error: unknown flag --" << Flag << '\n';
+  if (!Unknown.empty())
+    return usage();
   std::vector<std::string> TenantSpecs = Args.getAll("tenant");
   if (TenantSpecs.empty())
     return usage();
@@ -88,7 +95,6 @@ int runServerd(int argc, char **argv) {
   SO.CommitThreads = unsigned(Args.getCount("commit-threads", 1, kU32, Bad));
   SO.KeepGenerations =
       unsigned(Args.getCount("keep-generations", 0, kU32, Bad));
-  SO.StoreStripes = unsigned(Args.getCount("store-stripes", 0, kU32, Bad));
   SO.SnapshotDir = Args.getString("snapshot-dir", "");
   SO.Analysis.BudgetPerQuery =
       Args.getCount("budget", 75000, std::numeric_limits<int64_t>::max(), Bad);

@@ -8,7 +8,7 @@
 /// client over it or answers individual points-to queries.
 ///
 /// Usage:
-///   dynsum <file> [--analysis=dynsum|refine|norefine|andersen]
+///   dynsum <file> [--analysis=dynsum|refine|norefine]
 ///                 [--resolver=cha|rta|andersen]
 ///                 [--client=safecast|nullderef|factorym|devirt|all]
 ///                 [--query=Class.method.var]...  (repeatable flag, or
@@ -19,10 +19,9 @@
 ///                 [--stats] [--dump-ir] [--dump-pag]
 ///                 [--serve] [--save-summaries=path] [--load-summaries=path]
 ///                 [--snapshot=path] [--warm-from-disk=path]
-///                 [--store-stripes=N]
 ///
-/// Numeric flags take decimal digits only; any other value, or one out
-/// of range, is a usage error (exit 2).
+/// A flag not listed above is a usage error (exit 2), and so is a
+/// numeric flag whose value is not decimal digits or is out of range.
 ///
 /// --threads routes queries and clients through the parallel batch
 /// engine (dynsum only; N shards per batch, 0 = one per hardware
@@ -52,7 +51,7 @@
 /// tier — first queries answer from disk hits instead of recomputing.
 ///
 /// --warm-from-disk=path warms from a different file than the shutdown
-/// snapshot; --store-stripes=N sets the hot tier's lock-stripe count.
+/// snapshot.
 ///
 /// Examples:
 ///   dynsum prog.mj --client=all
@@ -147,10 +146,11 @@ int usage() {
             "              [--client=safecast|nullderef|factorym|devirt|all]"
             " [--query=Class.method.var]\n"
             "              [--budget=N] [--max-queries=N] [--threads=N]"
-            " [--commit-threads=N] [--stats] [--dump-pag] [--serve]\n"
+            " [--commit-threads=N]\n"
+            "              [--keep-generations=N] [--stats] [--dump-ir]"
+            " [--dump-pag] [--serve]\n"
             "              [--save-summaries=path] [--load-summaries=path]\n"
-            "              [--snapshot=path] [--warm-from-disk=path]"
-            " [--store-stripes=N]\n";
+            "              [--snapshot=path] [--warm-from-disk=path]\n";
   return 2;
 }
 
@@ -161,14 +161,12 @@ int usage() {
 int runServe(std::unique_ptr<ir::Program> Prog,
              const analysis::AnalysisOptions &AO, unsigned Threads,
              unsigned CommitThreads, unsigned KeepGenerations,
-             const std::string &Snapshot, const std::string &WarmPath,
-             unsigned StoreStripes) {
+             const std::string &Snapshot, const std::string &WarmPath) {
   service::ServiceOptions SO;
   SO.Engine.NumThreads = Threads;
   SO.Engine.Analysis = AO;
   SO.Commit = CommitThreads;
   SO.KeepGenerations = KeepGenerations;
-  SO.StoreStripes = StoreStripes;
   // --snapshot=path is the warm-restart loop in one flag: save the
   // store there on shutdown AND attach the same file as the disk tier
   // on startup.  --warm-from-disk overrides just the startup side.
@@ -245,7 +243,14 @@ int main(int argc, char **argv) {
 namespace {
 int runTool(int argc, char **argv) {
   CommandLine Args(argc, argv);
-  if (Args.positional().empty())
+  std::vector<std::string> Unknown = Args.unknownFlags(
+      {"analysis", "resolver", "client", "query", "budget", "max-queries",
+       "threads", "commit-threads", "keep-generations", "stats", "dump-ir",
+       "dump-pag", "serve", "save-summaries", "load-summaries", "snapshot",
+       "warm-from-disk"});
+  for (const std::string &Flag : Unknown)
+    errs() << "error: unknown flag --" << Flag << '\n';
+  if (!Unknown.empty() || Args.positional().empty())
     return usage();
 
   // Numeric flags are counts; a value that is not one, or is out of
@@ -260,8 +265,6 @@ int runTool(int argc, char **argv) {
       unsigned(Args.getCount("commit-threads", 1, kU32, Bad));
   unsigned KeepGenerations =
       unsigned(Args.getCount("keep-generations", 0, kU32, Bad));
-  unsigned StoreStripes =
-      unsigned(Args.getCount("store-stripes", 0, kU32, Bad));
   size_t MaxQueries = size_t(Args.getCount("max-queries", 0, kU32, Bad));
   if (Bad)
     return usage();
@@ -282,7 +285,7 @@ int runTool(int argc, char **argv) {
     ServeOpts.BudgetPerQuery = Budget;
     return runServe(std::move(Prog), ServeOpts, Threads, CommitThreads,
                     KeepGenerations, Args.getString("snapshot", ""),
-                    Args.getString("warm-from-disk", ""), StoreStripes);
+                    Args.getString("warm-from-disk", ""));
   }
 
   // Dispatch resolver.
